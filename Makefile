@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test race bench benchplot fuzz vet fmt experiments fsm examples dashboard-check clean
+.PHONY: all test race bench bench-check benchplot fuzz vet fmt experiments fsm examples dashboard-check clean
 
 all: vet test
 
@@ -12,6 +12,10 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench/ is its own module: the root vet/test do not build it.
+bench-check:
+	$(GO) vet -C bench . && $(GO) test -C bench .
 
 benchplot:
 	$(GO) run ./scripts -dir . -out bench_trajectory.svg

@@ -171,6 +171,9 @@ func TestStallSelfExclusionAndWarmRejoin(t *testing.T) {
 		deltas += nd.Metrics().StateDeltas
 	}
 	if deltas == 0 {
+		for i, nd := range nodes {
+			t.Logf("node %d: %+v", i, nd.Metrics())
+		}
 		t.Fatalf("victim rejoined via full transfer; want a warm delta")
 	}
 	if ms := victim.Metrics(); ms.SelfExclusions == 0 {

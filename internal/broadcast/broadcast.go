@@ -92,11 +92,15 @@ type Config struct {
 	// whether the log reaches back that far. Unset (volatile process),
 	// every state transfer is a full one.
 	ReplaySince func(since oal.Ordinal) ([]wire.ReplayEntry, bool)
-	// FullOALEvery bounds the delta-decision chain: every n-th decision
-	// carries the full oal even when a delta applies, so a member with
-	// a lost baseline catches up without a round trip. Zero means the
-	// default (8); negative disables delta encoding entirely — every
-	// decision and no-decision ships the full oal.
+	// FullOALEvery bounds the delta-decision chain: a process ships the
+	// full oal even when a delta applies once n-1 of its idle decision
+	// intervals (one rotation of D/2 holds) have passed since its last
+	// full one, so a member with a lost baseline catches up without a
+	// round trip. In an idle group that is every n-th decision; the
+	// cadence counts time, not decisions, so it does not rise with the
+	// decision rate. Zero means the default (8); negative disables delta
+	// encoding entirely — every decision and no-decision ships the full
+	// oal.
 	FullOALEvery int
 }
 
@@ -128,16 +132,29 @@ type Broadcast struct {
 	group model.Group
 
 	// view is this process's current view of the oal, derived from the
-	// freshest decision seen plus locally updated ack bits.
+	// freshest decision seen plus locally updated ack bits. meta runs
+	// parallel to view.Entries (see index.go), and ordOf maps every update
+	// descriptor in the view to its ordinal, so a proposal ID reaches its
+	// descriptor in O(1): ordinals are stable and contiguous, which makes
+	// id -> ordinal -> position survive adoption and truncation.
 	view      *oal.List
+	meta      []entryMeta
+	ordOf     map[oal.ProposalID]oal.Ordinal
 	lastDecTS model.Time
 
-	// baseRing retains the pristine oals of the freshest few decisions
-	// built or adopted here, oldest first — the cluster-shared baselines
-	// delta-encoded decisions and no-decision views are keyed against
-	// (see delta.go). Empty when no baseline is held (fresh start,
+	// baseRing records the freshest few decisions built or adopted here,
+	// oldest first — the cluster-shared baselines delta-encoded decisions
+	// and no-decision views are keyed against (see delta.go). Their
+	// content is not copied: it is the working view minus the local
+	// changes meta tracks. Empty when no baseline is held (fresh start,
 	// lineage change).
-	baseRing []pristineView
+	baseRing []baseline
+	// pristineLost is set while the view holds local changes that no
+	// decision has carried yet and that meta cannot undo (an election's
+	// reconciliation, an announced group): until this process ships its
+	// next — full — decision it has no baseline to resolve, serve or
+	// encode a delta against.
+	pristineLost bool
 	// deltaWin is the current baseline-ring capacity: how far back a
 	// delta may reach. It adapts to the observed decision-loss rate in
 	// [minDeltaWindow, maxDeltaWindow] — every baseline repair (an
@@ -146,17 +163,24 @@ type Broadcast struct {
 	// (see delta.go).
 	deltaWin   int
 	deltaClean int // baselines retained since the last repair
-	// fullEvery caps consecutive delta decisions (negative: deltas off);
-	// sinceFull counts deltas since the last full decision; forceFull
-	// makes the next decision ship the full oal regardless.
-	fullEvery int
-	sinceFull int
-	forceFull bool
+	// fullEvery bounds how long this process ships deltas only, in nominal
+	// decision intervals (negative: deltas off); lastFullTS is when it
+	// last shipped a full oal; forceFull makes the next decision ship the
+	// full oal regardless.
+	fullEvery  int
+	lastFullTS model.Time
+	forceFull  bool
 
-	// pb is the proposal buffer: bodies received, keyed by ID.
-	pb map[oal.ProposalID]*wire.Proposal
+	// pb is the proposal buffer: bodies received, keyed by ID. pend is
+	// its subset with no descriptor in the view yet — what the next
+	// decider orders.
+	pb   map[oal.ProposalID]*wire.Proposal
+	pend map[oal.ProposalID]*wire.Proposal
 
-	// delivered marks updates handed to the application.
+	// delivered marks updates handed to the application, until their
+	// descriptor is truncated from the view: a duplicate body arriving
+	// after that is rejected as stale by the orderedSeq rule in
+	// OnProposal, so the mark is no longer needed.
 	delivered map[oal.ProposalID]bool
 	// dpd lists updates delivered before receiving an ordinal.
 	dpd []oal.ProposalID
@@ -222,6 +246,22 @@ type Broadcast struct {
 	// termination tracks the deadline of each own undetermined proposal.
 	termination map[oal.ProposalID]model.Time
 
+	// Delivery and stability bookkeeping over the view (see index.go).
+	groupMask    oal.AckSet
+	fastQ        []oal.ProposalID
+	bodiless     []oal.Ordinal
+	ackDebt      []oal.Ordinal
+	ownAcked     []oal.Ordinal
+	dcur         oal.Ordinal
+	ackFail      [2]oal.Ordinal
+	stableCur    oal.Ordinal
+	orderedDirty bool
+	fifoScratch  []fifoBlock
+
+	// deliverRef, when set, replaces tryDeliver. Tests install the
+	// scan-everything reference there to compare delivery sequences.
+	deliverRef func(*Broadcast, model.Time)
+
 	stats Stats
 }
 
@@ -247,7 +287,9 @@ func New(self model.ProcessID, params model.Params, cfg Config) *Broadcast {
 		fullEvery:     fullEvery,
 		deltaWin:      minDeltaWindow,
 		view:          oal.NewList(),
+		ordOf:         make(map[oal.ProposalID]oal.Ordinal),
 		pb:            make(map[oal.ProposalID]*wire.Proposal),
+		pend:          make(map[oal.ProposalID]*wire.Proposal),
 		delivered:     make(map[oal.ProposalID]bool),
 		orderedSeq:    make(map[model.ProcessID]uint64),
 		suppressUntil: make(map[model.ProcessID]model.Time),
@@ -272,9 +314,9 @@ func (b *Broadcast) SeedSeq(v uint64) {
 // them with a stale ordering).
 func (b *Broadcast) DropPendingFrom(departed []model.ProcessID) {
 	dep := model.NewProcessSet(departed...)
-	for id := range b.pb {
-		if dep.Has(id.Proposer) && b.view.Find(id) == nil && !b.delivered[id] {
-			delete(b.pb, id)
+	for id := range b.pend {
+		if dep.Has(id.Proposer) && !b.delivered[id] {
+			b.dropBody(id)
 			b.stats.Purged++
 		}
 	}
@@ -296,6 +338,7 @@ func (b *Broadcast) Reset() {
 	cfg := b.cfg
 	stats := b.stats // counters are cumulative across rejoins
 	fresh := New(b.self, b.params, cfg)
+	fresh.deliverRef = b.deliverRef
 	*b = *fresh
 	b.stats = stats
 	if cfg.OnOutcome != nil {
@@ -310,7 +353,16 @@ func (b *Broadcast) Group() model.Group { return b.group }
 
 // SetGroup installs the membership view the delivery conditions evaluate
 // against (majority/all-ack checks).
-func (b *Broadcast) SetGroup(g model.Group) { b.group = g.Clone() }
+func (b *Broadcast) SetGroup(g model.Group) {
+	if !slices.Equal(b.group.Members, g.Members) {
+		// Acknowledgement counts are taken within the group: the ack
+		// watermarks start over, and updates may have become deliverable.
+		b.groupMask = oal.MaskOf(g)
+		b.ackFail = [2]oal.Ordinal{}
+		b.orderedDirty = true
+	}
+	b.group = g.Clone()
+}
 
 // LastDecisionTS returns the send timestamp of the freshest decision this
 // process has seen (or sent).
@@ -320,7 +372,8 @@ func (b *Broadcast) LastDecisionTS() model.Time { return b.lastDecTS }
 func (b *Broadcast) Stats() Stats { return b.stats }
 
 // Delivered reports whether the update with the given ID was handed to
-// the application.
+// the application and its descriptor is still retained (the mark goes
+// when the descriptor is truncated).
 func (b *Broadcast) Delivered(id oal.ProposalID) bool { return b.delivered[id] }
 
 // HighestOrdinal returns the highest ordinal in this process's view.
@@ -355,25 +408,14 @@ func (b *Broadcast) DPD() []oal.ProposalID {
 	return slices.Clone(b.dpd)
 }
 
-// refreshOwnAcks stamps this process's ack bit on every descriptor whose
-// body it holds, unless the proposal is suppressed.
-func (b *Broadcast) refreshOwnAcks() {
-	for i := range b.view.Entries {
-		d := &b.view.Entries[i]
-		if d.Kind != oal.UpdateDesc {
-			continue
-		}
-		if _, ok := b.pb[d.ID]; ok && !d.Undeliverable {
-			d.Acks.Add(b.self)
-		}
-	}
-}
-
 // compactDPD drops dpd entries that have since been ordered or purged.
 func (b *Broadcast) compactDPD() {
+	if len(b.dpd) == 0 {
+		return
+	}
 	out := b.dpd[:0]
 	for _, id := range b.dpd {
-		if d := b.view.Find(id); d != nil {
+		if _, ordered := b.ordOf[id]; ordered {
 			continue // ordered: no longer "undefined ordinal"
 		}
 		out = append(out, id)
@@ -431,11 +473,16 @@ func (b *Broadcast) OnProposal(now model.Time, p *wire.Proposal) {
 		b.tryDeliver(now)
 		return
 	}
-	if p.ID.Seq <= b.orderedSeq[p.ID.Proposer] && b.view.Find(p.ID) == nil {
+	pos := b.posOf(p.ID)
+	if pos < 0 && p.ID.Seq <= b.orderedSeq[p.ID.Proposer] {
 		// Stale: ordering for this proposer has moved past the body's
-		// sequence (the gap was declared abandoned). Delivering it now
-		// would invert FIFO; every member rejects it identically.
+		// sequence (the gap was declared abandoned, or the update was
+		// delivered and truncated long ago). Delivering it now would
+		// invert FIFO; every member rejects it identically.
 		return
+	}
+	if pos >= 0 && b.view.Entries[pos].Undeliverable {
+		return // purged: nobody may deliver it, so nobody needs the body
 	}
 	cp := *p
 	cp.Payload = slices.Clone(p.Payload)
@@ -446,9 +493,21 @@ func (b *Broadcast) OnProposal(now model.Time, p *wire.Proposal) {
 		// reuse their sequence numbers.
 		b.nextSeq = p.ID.Seq
 	}
-
-	if d := b.view.Find(p.ID); d != nil && !b.senderSuppressed(p.ID.Proposer, now) {
-		d.Acks.Add(b.self)
+	if cp.Sem.Order == oal.Unordered && cp.Sem.Atomicity == oal.WeakAtomicity && !b.delivered[p.ID] {
+		b.queueFast(p.ID)
+	}
+	if pos < 0 {
+		b.pend[p.ID] = &cp
+	} else {
+		// The body of an ordered update: acknowledge it (later, when its
+		// sender is under an election-time mark), and look again at what
+		// the view can deliver.
+		if b.senderSuppressed(p.ID.Proposer, now) {
+			b.ackDebt = append(b.ackDebt, b.view.Entries[pos].Ordinal)
+		} else {
+			b.stampOwnAck(pos)
+		}
+		b.orderedDirty = true
 	}
 	b.tryDeliver(now)
 }
@@ -462,6 +521,7 @@ func (b *Broadcast) senderSuppressed(q model.ProcessID, now model.Time) bool {
 	}
 	if now >= until {
 		delete(b.suppressUntil, q)
+		b.orderedDirty = true // q's ordered updates may have become deliverable
 		return false
 	}
 	return true
@@ -477,19 +537,14 @@ func (b *Broadcast) SuppressSender(q model.ProcessID, now model.Time) {
 	b.stats.Purged++
 }
 
-// AdoptDecision ingests a decision message. It returns whether the
-// decision was fresh (newer than anything seen), and the IDs of ordered
-// updates whose bodies this process is missing and should request via a
-// nack (rate-limited to one request per proposal per D).
+// AdoptDecision ingests a decision message, full or delta-encoded. It
+// returns whether the decision was fresh (newer than anything seen), and
+// the IDs of ordered updates whose bodies this process is missing and
+// should request via a nack (rate-limited to one request per proposal
+// per D). dec is only read.
 func (b *Broadcast) AdoptDecision(now model.Time, dec *wire.Decision) (adopted bool, missing []oal.ProposalID) {
-	if dec.BaseTS != 0 {
-		// Delta-encoded: reconstruct the full oal in place first. The
-		// member layer normally does this itself (to turn a baseline
-		// miss into an OALReq); a still-partial decision must never
-		// reach the adoption body below.
-		if !b.ResolveDecisionDelta(dec) || dec.BaseTS != 0 {
-			return false, nil
-		}
+	if !b.DecisionResolvable(dec) {
+		return false, nil
 	}
 	if dec.SendTS <= b.lastDecTS {
 		return false, nil
@@ -499,55 +554,48 @@ func (b *Broadcast) AdoptDecision(now model.Time, dec *wire.Decision) (adopted b
 		// regress ordinals. Only a stale decider produces this.
 		return false, nil
 	}
-	if dec.Lineage != b.lineage {
-		// The decision belongs to another ordinal space; our retained
-		// view cannot be compared against its oal, so the truncation
-		// sweep below would be meaningless. (On first adoption the view
-		// is empty and the sweep is a no-op anyway.)
-		b.adoptLineage(dec.Lineage)
+	advanced := false
+	if dec.BaseTS != 0 && b.deltaAppliesInPlace(dec) {
+		// The common case: work over the entries the decision changed.
+		advanced = b.applyDelta(now, dec)
 	} else {
-		b.deliverTruncated(now, &dec.OAL)
-	}
-	b.lastDecTS = dec.SendTS
-	b.pushBaseline(dec.SendTS, dec.OAL.Clone()) // pristine, pre-ack-refresh
-	b.view = dec.OAL.Clone()
-	b.refreshOwnAcks()
-	b.syncOrderedSeq()
-
-	// Purge bodies of updates the decider marked undeliverable, and make
-	// sure they are never delivered.
-	for i := range b.view.Entries {
-		d := &b.view.Entries[i]
-		if d.Kind == oal.UpdateDesc && d.Undeliverable {
-			if !b.delivered[d.ID] {
-				if _, had := b.pb[d.ID]; had {
-					b.stats.Purged++
-				}
+		incoming := dec.OAL.Clone()
+		if dec.BaseTS != 0 {
+			// A delta that does not line up with the view entry for
+			// entry: rebuild the sender's list the general way.
+			incoming = oal.NewList()
+			if !oal.ReconstructInto(incoming, b.pristineList(), dec.TruncBelow, &dec.OAL) {
+				return false, nil
 			}
-			delete(b.pb, d.ID)
 		}
+		sameSpace := dec.Lineage == b.lineage
+		if sameSpace {
+			b.deliverTruncated(now, incoming)
+		} else {
+			// The decision belongs to another ordinal space; our retained
+			// view cannot be compared against its oal, so the truncation
+			// sweep would be meaningless. (On first adoption the view is
+			// empty and the sweep is a no-op anyway.)
+			b.adoptLineage(dec.Lineage)
+		}
+		b.lastDecTS = dec.SendTS
+		b.replaceView(incoming, dec.SendTS, sameSpace)
+		advanced = b.syncOrderedSeq(0)
 	}
+	if advanced {
+		b.dropStalePending()
+	}
+	b.syncSettledTimeTS()
 	b.compactDPD()
+	b.pushBaseline(dec.SendTS)
 
 	// Detect losses: ordered updates whose bodies we lack.
-	for i := range b.view.Entries {
-		d := &b.view.Entries[i]
-		if d.Kind != oal.UpdateDesc || d.Undeliverable || b.delivered[d.ID] {
-			continue
-		}
-		if _, ok := b.pb[d.ID]; ok {
-			continue
-		}
-		if at, ok := b.nackAt[d.ID]; ok && now.Sub(at) < b.params.D {
-			continue
-		}
-		b.nackAt[d.ID] = now
-		missing = append(missing, d.ID)
-	}
+	missing = b.missingBodies(now)
 	if len(missing) > 0 {
 		b.stats.NacksNeeded += uint64(len(missing))
 	}
 
+	b.orderedDirty = true
 	b.tryDeliver(now)
 	return true, missing
 }
@@ -562,66 +610,100 @@ func (b *Broadcast) AdoptDecision(now model.Time, dec *wire.Decision) (adopted b
 func (b *Broadcast) deliverTruncated(now model.Time, incoming *oal.List) {
 	for i := range b.view.Entries {
 		d := &b.view.Entries[i]
-		if d.Kind != oal.UpdateDesc || d.Undeliverable || b.delivered[d.ID] {
-			continue
-		}
 		if incoming.FindOrdinal(d.Ordinal) != nil || d.Ordinal > incoming.HighestOrdinal() {
 			continue // retained, or beyond the incoming log: not truncated
 		}
-		if d.Ordinal <= b.snapshotCovered {
-			// Already reflected in the join-time snapshot.
-			b.delivered[d.ID] = true
-			continue
-		}
-		if b.deferApp {
-			// The outstanding transfer covers every stable-truncated
-			// ordinal (they are below the serving member's coverage), so
-			// leave the entry for the replay or the transfer's
-			// delivered-set; the body stays buffered until then.
-			continue
-		}
-		if p, ok := b.pb[d.ID]; ok {
-			b.deliver(p, d.Ordinal, now)
-		}
+		b.handOffTruncated(now, d)
 	}
 }
 
-// syncOrderedSeq recomputes the per-proposer highest ordered sequence
-// from the adopted view (monotonically: truncation never lowers it).
-func (b *Broadcast) syncOrderedSeq() {
-	for i := range b.view.Entries {
+// handOffTruncated is deliverTruncated's step for one descriptor the
+// incoming oal no longer holds.
+func (b *Broadcast) handOffTruncated(now model.Time, d *oal.Descriptor) {
+	if d.Kind != oal.UpdateDesc || d.Undeliverable || b.delivered[d.ID] {
+		return
+	}
+	if d.Ordinal <= b.snapshotCovered {
+		return // already reflected in the join-time snapshot
+	}
+	if b.deferApp {
+		// The outstanding transfer covers every stable-truncated ordinal
+		// (they are below the serving member's coverage), so leave the
+		// update to the replay or the transfer's delivered-set.
+		return
+	}
+	if p, ok := b.pb[d.ID]; ok {
+		b.deliver(p, d.Ordinal, now)
+	}
+}
+
+// syncOrderedSeq raises the per-proposer highest ordered sequence from
+// the view's entries at positions from.. (monotonically: truncation never
+// lowers it), and reports whether any cursor moved.
+func (b *Broadcast) syncOrderedSeq(from int) (advanced bool) {
+	for i := from; i < len(b.view.Entries); i++ {
 		d := &b.view.Entries[i]
 		if d.Kind != oal.UpdateDesc {
 			continue
 		}
 		if d.ID.Seq > b.orderedSeq[d.ID.Proposer] {
 			b.orderedSeq[d.ID.Proposer] = d.ID.Seq
+			advanced = true
 		}
 		if d.ID.Proposer == b.self && d.ID.Seq > b.nextSeq {
 			b.nextSeq = d.ID.Seq
 		}
 	}
-	// Drop pending bodies ordering has moved past: they are stale
-	// everywhere (see OnProposal).
-	for id := range b.pb {
-		if id.Seq <= b.orderedSeq[id.Proposer] && b.view.Find(id) == nil && !b.delivered[id] {
-			delete(b.pb, id)
+	return advanced
+}
+
+// dropStalePending drops pending bodies ordering has moved past: they are
+// stale everywhere (see OnProposal). Bodies delivered on the fast path
+// stay — they are what dpd hands the next election.
+func (b *Broadcast) dropStalePending() {
+	for id := range b.pend {
+		if id.Seq <= b.orderedSeq[id.Proposer] && !slices.Contains(b.dpd, id) {
+			b.dropBody(id)
 		}
 	}
-	b.syncSettledTimeTS()
 }
 
 // syncSettledTimeTS advances the settled time-order high-water mark from
-// the current view (monotonic: truncation never lowers it).
+// the current view (monotonic: truncation never lowers it). Descriptors
+// below the delivery cursor are delivered or purged: the delivered ones
+// were counted when they settled, which is what let them be delivered.
 func (b *Broadcast) syncSettledTimeTS() {
 	settleBound := b.lastDecTS - model.Time(b.params.Delta+b.params.Epsilon)
-	for i := range b.view.Entries {
+	for i := b.view.Search(b.dcur); i < len(b.view.Entries); i++ {
 		d := &b.view.Entries[i]
 		if d.Kind == oal.UpdateDesc && d.Sem.Order == oal.TimeOrder && !d.Undeliverable &&
 			d.SendTS <= settleBound && d.SendTS > b.maxSettledTimeTS {
 			b.maxSettledTimeTS = d.SendTS
 		}
 	}
+}
+
+// missingBodies lists the ordered, deliverable, undelivered updates whose
+// bodies this process lacks and has not asked for within the last D.
+func (b *Broadcast) missingBodies(now model.Time) (missing []oal.ProposalID) {
+	keep := b.bodiless[:0]
+	for _, ord := range b.bodiless {
+		d := b.view.FindOrdinal(ord)
+		if d == nil || d.Kind != oal.UpdateDesc || d.Undeliverable || b.delivered[d.ID] {
+			continue
+		}
+		if _, ok := b.pb[d.ID]; ok {
+			continue
+		}
+		keep = append(keep, ord)
+		if at, ok := b.nackAt[d.ID]; ok && now.Sub(at) < b.params.D {
+			continue
+		}
+		b.nackAt[d.ID] = now
+		missing = append(missing, d.ID)
+	}
+	b.bodiless = keep
+	return missing
 }
 
 // StillMissing filters ids down to the update bodies this process still
@@ -638,7 +720,7 @@ func (b *Broadcast) StillMissing(ids []oal.ProposalID) []oal.ProposalID {
 		if _, ok := b.pb[id]; ok {
 			continue
 		}
-		if d := b.view.Find(id); d == nil || d.Undeliverable {
+		if pos := b.posOf(id); pos < 0 || b.view.Entries[pos].Undeliverable {
 			continue // truncated away or purged: no longer wanted
 		}
 		out = append(out, id)

@@ -404,7 +404,7 @@ func TestTruncationAfterStability(t *testing.T) {
 
 func TestBodyGCAfterTruncation(t *testing.T) {
 	h := newHarness(t, 0, 1)
-	h.propose(0, "gc", sem(oal.TotalOrder, oal.WeakAtomicity))
+	p := h.propose(0, "gc", sem(oal.TotalOrder, oal.WeakAtomicity))
 	h.rotate()
 	h.rotate()
 	h.now = h.now.Add(2 * h.params.CycleLen())
@@ -413,9 +413,19 @@ func TestBodyGCAfterTruncation(t *testing.T) {
 	if n := len(h.members[0].pb); n != 0 {
 		t.Fatalf("bodies not collected: %d", n)
 	}
-	// Delivered flags survive so a straggler duplicate is not re-delivered.
-	if !h.members[0].Delivered(oal.ProposalID{Proposer: 0, Seq: 1}) {
-		t.Fatalf("delivered flag lost")
+	// The delivered mark goes with the descriptor; a straggler duplicate
+	// is rejected as stale instead of being re-delivered.
+	for id, m := range h.members {
+		if n := len(m.delivered); n != 0 {
+			t.Fatalf("p%d keeps %d delivered marks past truncation", id, n)
+		}
+		m.OnProposal(h.tick(), p)
+		if got := h.payloads(id); len(got) != 1 {
+			t.Fatalf("p%d re-delivered a truncated update: %v", id, got)
+		}
+		if len(m.pb) != 0 {
+			t.Fatalf("p%d stored a stale body", id)
+		}
 	}
 }
 
@@ -585,5 +595,103 @@ func TestTruncatedEntryDeliveredOnAdoption(t *testing.T) {
 	})
 	if len(got) != 1 || got[0] != "stable-but-blocked" {
 		t.Fatalf("truncated entry not delivered: %v", got)
+	}
+}
+
+// deepMember returns a member whose view holds depth delivered updates
+// (and its buffer their bodies), none of them old enough to truncate.
+func deepMember(tb testing.TB, depth int) (*Broadcast, model.Time) {
+	params := model.DefaultParams(3)
+	group := model.NewGroup(1, []model.ProcessID{0, 1, 2})
+	decider := New(0, params, Config{})
+	b := New(1, params, Config{})
+	decider.SetGroup(group)
+	b.SetGroup(group)
+	now := model.Time(1_000_000)
+	for i := 0; i < depth; i++ {
+		now++
+		b.OnProposal(now, decider.Propose(now, []byte("payload"), sem(oal.TotalOrder, oal.StrongAtomicity)))
+	}
+	now = now.Add(params.D)
+	dec, _ := decider.BuildDecision(now, group, group.Members)
+	if adopted, missing := b.AdoptDecision(now, dec); !adopted || len(missing) != 0 {
+		tb.Fatalf("setup decision: adopted=%v missing=%v", adopted, missing)
+	}
+	if got := b.Stats().Delivered; got != uint64(depth) || b.view.Len() != depth || len(b.pb) != depth {
+		tb.Fatalf("setup: delivered %d, view %d, bodies %d, want %d each", got, b.view.Len(), len(b.pb), depth)
+	}
+	return b, now
+}
+
+// BenchmarkOnProposalDeep measures ingesting one not-yet-ordered body at
+// a member whose view and buffer are depth entries deep, and fails when
+// the cost grows with the depth: before the view was indexed it was
+// O(depth log depth) (a sort of the buffer and a scan of the view per
+// body).
+func BenchmarkOnProposalDeep(b *testing.B) {
+	nsPerOp := make(map[int]float64)
+	for _, depth := range []int{100, 2000} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			m, now := deepMember(b, depth)
+			p := &wire.Proposal{
+				Header:  wire.Header{From: 2, SendTS: now},
+				ID:      oal.ProposalID{Proposer: 2},
+				Sem:     sem(oal.TotalOrder, oal.StrongAtomicity),
+				Payload: []byte("payload"),
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.ID.Seq = uint64(i + 1)
+				m.OnProposal(now, p)
+				m.dropBody(p.ID) // keep the pending set at one body
+			}
+			nsPerOp[depth] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		})
+	}
+	if shallow, deep := nsPerOp[100], nsPerOp[2000]; shallow > 0 && deep > 1.5*shallow {
+		b.Fatalf("OnProposal costs %.0f ns at depth 2000 and %.0f ns at depth 100: it grows with the view", deep, shallow)
+	}
+}
+
+// The delivered set used to grow by one mark per delivery for the life
+// of the node. Marks now go when their descriptor is truncated, so under
+// steady traffic the set stays as deep as the view, and the orderedSeq
+// rule keeps a late duplicate from being delivered a second time.
+func TestDeliveredMarksStayBounded(t *testing.T) {
+	h := newHarness(t, 0, 1, 2)
+	var early *wire.Proposal
+	deepest := 0
+	const rounds = 400
+	for r := 0; r < rounds; r++ {
+		from := model.ProcessID(r % 3)
+		p := h.propose(from, fmt.Sprintf("u%d", r), sem(oal.Order(r%3), oal.Atomicity(r/3%3)))
+		if r == 10 {
+			early = p
+		}
+		h.decide(model.ProcessID((r + 1) % 3))
+		for _, m := range h.members {
+			deepest = max(deepest, len(m.delivered))
+			if len(m.delivered) > m.view.Len()+len(m.dpd) {
+				t.Fatalf("round %d: %d delivered marks for a view of %d (+%d dpd)", r, len(m.delivered), m.view.Len(), len(m.dpd))
+			}
+		}
+	}
+	h.rotate() // the last updates still wait for acknowledgements
+	h.rotate()
+	if deepest > rounds/4 {
+		t.Fatalf("delivered set reached %d marks over %d deliveries: not bounded by the truncation horizon", deepest, rounds)
+	}
+	for id, m := range h.members {
+		if got := len(h.deliv[id]); got != rounds {
+			t.Fatalf("p%d delivered %d of %d", id, got, rounds)
+		}
+		if m.Delivered(early.ID) {
+			t.Fatalf("p%d still marks a long-truncated update", id)
+		}
+		m.OnProposal(h.tick(), early)
+		if got := len(h.deliv[id]); got != rounds {
+			t.Fatalf("p%d re-delivered a late duplicate of a truncated update", id)
+		}
 	}
 }

@@ -12,62 +12,121 @@ import (
 // BuildDecision assembles the decision message this process sends while
 // it holds the decider role: it stamps its own acknowledgements, assigns
 // ordinals to pending proposals (contiguously per proposer, in send-time
-// order), advances stability, truncates the stable prefix, and snapshots
-// the oal. It also returns the IDs of sequence-gap proposals the decider
-// is missing and should nack.
+// order), advances stability, truncates the stable prefix, and encodes
+// the oal — as the descriptors that changed, when the receivers hold a
+// baseline. It also returns the IDs of sequence-gap proposals the
+// decider is missing and should nack.
 //
 // now must exceed the previous decision's timestamp; callers stamp
 // decisions with a monotonic synchronized clock.
 func (b *Broadcast) BuildDecision(now model.Time, group model.Group, alive []model.ProcessID) (*wire.Decision, []oal.ProposalID) {
-	b.group = group.Clone()
+	b.SetGroup(group)
 	b.refreshOwnAcks()
-	missing := b.assignOrdinals(now)
-	b.advanceStability(now)
-	b.truncateStable(now)
-	b.gcBodies()
-	if now <= b.lastDecTS {
-		now = b.lastDecTS + 1
+	ts := now
+	if ts <= b.lastDecTS {
+		ts = b.lastDecTS + 1
 	}
-	b.lastDecTS = now
+	if b.pristineLost {
+		// The view was reconciled or extended outside a decision: nothing
+		// retained describes what the receivers hold. This decision ships
+		// full and becomes the only baseline.
+		b.clearBaselines()
+		b.forceFull = true
+		for i := range b.meta {
+			b.meta[i] = entryMeta{chg: ts}
+		}
+		b.ownAcked = b.ownAcked[:0]
+		b.pristineLost = false
+	}
+	// This process's own acknowledgements go out with the decision: they
+	// stop being local changes.
+	for _, ord := range b.ownAcked {
+		if i := b.view.Search(ord); i < len(b.view.Entries) && b.view.Entries[i].Ordinal == ord && b.meta[i].ownAck {
+			b.meta[i].ownAck = false
+			b.touch(i, ts)
+		}
+	}
+	b.ownAcked = b.ownAcked[:0]
+	appended := len(b.view.Entries)
+	missing := b.assignOrdinals(now)
+	for i := appended; i < len(b.view.Entries); i++ {
+		b.touch(i, ts)
+	}
+	b.advanceStability(now, ts)
+	b.truncateStable(now)
+	b.lastDecTS = ts
 	b.syncSettledTimeTS()
-	full := b.view.Clone()
 	dec := &wire.Decision{
-		Header:  wire.Header{From: b.self, SendTS: now},
+		Header:  wire.Header{From: b.self, SendTS: ts},
 		Group:   group.Clone(),
-		OAL:     *full,
 		Alive:   slices.Clone(alive),
 		Lineage: b.lineage,
 	}
-	if b.encodeDelta(dec, full) {
-		b.sinceFull++
+	if b.encodeDelta(dec) {
 		b.stats.DecisionsDelta++
 	} else {
-		// Shipping full: give dec its own copy so the retained baseline
-		// stays pristine whatever the caller does with the message.
-		dec.OAL = *full.Clone()
-		b.sinceFull = 0
+		dec.OAL = *b.view.Clone()
+		b.lastFullTS = ts
 		b.forceFull = false
 		b.stats.DecisionsFull++
 	}
-	b.pushBaseline(now, full)
-	b.tryDeliver(now)
+	b.pushBaseline(ts)
+	b.orderedDirty = true
+	b.tryDeliver(ts)
 	return dec, missing
 }
 
-// assignOrdinals orders every pending proposal whose per-proposer
-// sequence is contiguous with what is already ordered, and returns the
-// IDs of gap proposals that block further ordering and must be
-// retransmitted.
-func (b *Broadcast) assignOrdinals(now model.Time) []oal.ProposalID {
-	pending := make([]*wire.Proposal, 0, len(b.pb))
-	for id, p := range b.pb {
-		if b.view.Find(id) != nil {
-			continue
+// Orderable reports whether a decision built now would assign at least
+// one ordinal: some pending body continues its proposer's ordered
+// sequence and its sender is not under an election-time mark. It is
+// exact in that direction — true means BuildDecision orders that body —
+// which is what lets a decider act on it without waiting out its hold
+// and without spinning. (A body that can only be ordered by abandoning a
+// sequence gap is left to the held decision.)
+func (b *Broadcast) Orderable(now model.Time) bool {
+	for id := range b.pend {
+		if id.Seq == b.orderedSeq[id.Proposer]+1 && !b.senderSuppressed(id.Proposer, now) {
+			return true
 		}
+	}
+	return false
+}
+
+// MaxOrdinalsPerDecision bounds the proposals one decision orders. What
+// is left waits for the next decision, which under load is one
+// early-decision slot away (member.decideIfOrderable): the bound keeps a
+// decision's size and the time every member's event loop spends adopting
+// it (delivery callbacks included) independent of how deep the backlog
+// is, and makes the group's ordering capacity a function of D.
+const MaxOrdinalsPerDecision = 32
+
+// assignOrdinals orders the pending proposals whose per-proposer
+// sequence is contiguous with what is already ordered, oldest first and
+// at most MaxOrdinalsPerDecision of them, and returns the IDs of gap
+// proposals that block further ordering and must be retransmitted.
+func (b *Broadcast) assignOrdinals(now model.Time) []oal.ProposalID {
+	if len(b.pend) == 0 {
+		return nil
+	}
+	// Per-proposer smallest pending sequence (for gap detection).
+	minPending := make(map[model.ProcessID]uint64)
+	for id := range b.pend {
+		if cur, ok := minPending[id.Proposer]; !ok || id.Seq < cur {
+			minPending[id.Proposer] = id.Seq
+		}
+	}
+	// The candidates: of each proposer, the bodies this decision can reach
+	// by contiguity and its smallest pending one (the gap rules). A
+	// backlog deeper than that is not sorted again by every decision.
+	room := MaxOrdinalsPerDecision
+	var pending []*wire.Proposal
+	for id, p := range b.pend {
 		if b.senderSuppressed(id.Proposer, now) {
 			continue
 		}
-		pending = append(pending, p)
+		if id.Seq-b.orderedSeq[id.Proposer] <= uint64(room) || id.Seq == minPending[id.Proposer] {
+			pending = append(pending, p)
+		}
 	}
 	sort.Slice(pending, func(i, j int) bool {
 		a, c := pending[i], pending[j]
@@ -80,14 +139,6 @@ func (b *Broadcast) assignOrdinals(now model.Time) []oal.ProposalID {
 		return a.ID.Seq < c.ID.Seq
 	})
 
-	// Per-proposer smallest pending sequence (for gap detection).
-	minPending := make(map[model.ProcessID]uint64)
-	for _, p := range pending {
-		if cur, ok := minPending[p.ID.Proposer]; !ok || p.ID.Seq < cur {
-			minPending[p.ID.Proposer] = p.ID.Seq
-		}
-	}
-
 	// Repeated passes let a chain seq, seq+1, ... from one proposer be
 	// ordered within a single decision. Ordering is contiguous per
 	// proposer; a persistent gap (missing body for longer than a cycle,
@@ -95,9 +146,10 @@ func (b *Broadcast) assignOrdinals(now model.Time) []oal.ProposalID {
 	// sequence) is declared abandoned and ordering jumps to the smallest
 	// pending sequence — the skipped updates become stale everywhere.
 	ordered := func(p *wire.Proposal) {
+		room--
 		var acks oal.AckSet
 		acks.Add(b.self)
-		ord := b.view.AppendUpdate(p.ID, p.Sem, p.SendTS, p.HDO, acks)
+		b.appendUpdate(p.ID, p.Sem, p.SendTS, p.HDO, acks)
 		b.orderedSeq[p.ID.Proposer] = p.ID.Seq
 		delete(b.gapSince, p.ID.Proposer)
 		if p.Sem.Order == oal.TimeOrder &&
@@ -110,17 +162,19 @@ func (b *Broadcast) assignOrdinals(now model.Time) []oal.ProposalID {
 			// entries were already truncated. Purged uniformly, in the
 			// oal. The cycle horizon backstops the watermark, which a
 			// freshly rejoined decider may not have re-learned yet.
-			if d := b.view.FindOrdinal(ord); d != nil {
-				d.Undeliverable = true
-				d.StableTS = now
-				b.stats.Purged++
-			}
+			d := &b.view.Entries[len(b.view.Entries)-1]
+			d.Undeliverable = true
+			d.StableTS = now
+			b.stats.Purged++
 		}
 	}
-	for changed := true; changed; {
+	for changed := true; changed && room > 0; {
 		changed = false
 		for _, p := range pending {
-			if b.view.Find(p.ID) != nil {
+			if room == 0 {
+				break
+			}
+			if _, done := b.ordOf[p.ID]; done {
 				continue
 			}
 			prop := p.ID.Proposer
@@ -157,7 +211,7 @@ func (b *Broadcast) assignOrdinals(now model.Time) []oal.ProposalID {
 	const maxGapNack = 64
 	var missing []oal.ProposalID
 	for _, p := range pending {
-		if b.view.Find(p.ID) != nil {
+		if _, done := b.ordOf[p.ID]; done {
 			continue
 		}
 		if p.ID.Seq-b.orderedSeq[p.ID.Proposer] > maxGapNack {
@@ -178,24 +232,37 @@ func (b *Broadcast) assignOrdinals(now model.Time) []oal.ProposalID {
 	return missing
 }
 
+// appendUpdate gives the next ordinal to an update and indexes its
+// descriptor. Only this process's own decisions and reconciliations
+// append; what other deciders ordered arrives by adoption.
+func (b *Broadcast) appendUpdate(id oal.ProposalID, sem oal.Semantics, sendTS model.Time, hdo oal.Ordinal, acks oal.AckSet) {
+	b.view.AppendUpdate(id, sem, sendTS, hdo, acks)
+	b.meta = append(b.meta, entryMeta{})
+	b.noteDescriptor(len(b.view.Entries) - 1)
+}
+
 // advanceStability stamps StableTS on descriptors that have become
 // stable: updates acknowledged by every group member, purged updates,
-// and membership descriptors.
-func (b *Broadcast) advanceStability(now model.Time) {
-	for i := range b.view.Entries {
+// and membership descriptors. ts is the decision the stamps go out in.
+func (b *Broadcast) advanceStability(now, ts model.Time) {
+	first := oal.None
+	for i := b.view.Search(b.stableCur); i < len(b.view.Entries); i++ {
 		d := &b.view.Entries[i]
 		if d.StableTS != 0 {
 			continue
 		}
-		switch {
-		case d.Kind == oal.MembershipDesc:
+		if d.Kind == oal.MembershipDesc || d.Undeliverable ||
+			(d.Acks.CountMask(b.groupMask) == b.group.Size() && b.group.Size() > 0) {
 			d.StableTS = now
-		case d.Undeliverable:
-			d.StableTS = now
-		case d.Acks.CountIn(b.group) == b.group.Size() && b.group.Size() > 0:
-			d.StableTS = now
+			b.touch(i, ts)
+		} else if first == oal.None {
+			first = d.Ordinal
 		}
 	}
+	if first == oal.None {
+		first = b.view.Next
+	}
+	b.stableCur = first
 }
 
 // truncateStable drops the head descriptors that have been stable for
@@ -203,31 +270,14 @@ func (b *Broadcast) advanceStability(now model.Time) {
 // seen the stability, and delivered (or purged) the update.
 func (b *Broadcast) truncateStable(now model.Time) {
 	horizon := b.params.CycleLen()
-	b.view.TruncateStable(func(d *oal.Descriptor) bool {
+	b.forgetHead(b.view.TruncateStable(func(d *oal.Descriptor) bool {
 		if d.StableTS == 0 || now.Sub(d.StableTS) <= horizon {
 			return false
 		}
-		if d.Kind == oal.UpdateDesc && !d.Undeliverable && !b.delivered[d.ID] {
-			// Safety net: never truncate an update this process has not
-			// delivered itself.
-			return false
-		}
-		return true
-	})
-}
-
-// gcBodies drops proposal bodies that are no longer needed: delivered,
-// absent from the retained view, and not awaiting ordering via dpd.
-func (b *Broadcast) gcBodies() {
-	inDPD := make(map[oal.ProposalID]bool, len(b.dpd))
-	for _, id := range b.dpd {
-		inDPD[id] = true
-	}
-	for id := range b.pb {
-		if b.delivered[id] && b.view.Find(id) == nil && !inDPD[id] {
-			delete(b.pb, id)
-		}
-	}
+		// Safety net: never truncate an update this process has not
+		// delivered itself.
+		return d.Kind != oal.UpdateDesc || d.Undeliverable || b.delivered[d.ID]
+	}))
 }
 
 // AnnounceGroup appends a membership descriptor for g to the oal and
@@ -235,15 +285,15 @@ func (b *Broadcast) gcBodies() {
 // joiner or excluding failed members; the descriptor is disseminated by
 // the next BuildDecision.
 func (b *Broadcast) AnnounceGroup(now model.Time, g model.Group) {
-	ord := b.view.AppendMembership(g)
-	if d := b.view.FindOrdinal(ord); d != nil {
-		d.StableTS = now
-	}
-	b.group = g.Clone()
+	b.view.AppendMembership(g)
+	b.meta = append(b.meta, entryMeta{})
+	b.view.Entries[len(b.view.Entries)-1].StableTS = now
+	b.SetGroup(g)
 	// Membership changes ride in a full decision: joiners have no
 	// baseline yet, and the formation-decision shape (a single
 	// membership descriptor) is recognised on the wire.
 	b.forceFull = true
+	b.pristineLost = true
 }
 
 // Report is one peer's log view received during an election, from its
@@ -278,10 +328,14 @@ func (b *Broadcast) Reconcile(now model.Time, newGroup model.Group, departed []m
 		}
 	}
 	if base != b.view {
-		b.view = base.Clone()
-		b.refreshOwnAcks()
-		b.syncOrderedSeq()
+		b.replaceView(base.Clone(), b.lastDecTS, true)
+		b.syncOrderedSeq(0)
+		b.dropStalePending()
+		b.syncSettledTimeTS()
 	}
+	// What follows rewrites the view outside any decision; the next one
+	// ships it whole.
+	b.pristineLost = true
 	for _, r := range reports {
 		if r.View != nil && r.View != base {
 			b.view.MergeAcks(r.View)
@@ -316,7 +370,7 @@ func (b *Broadcast) Reconcile(now model.Time, newGroup model.Group, departed []m
 		}
 	}
 	for _, id := range dpdOrder {
-		if b.view.Find(id) != nil {
+		if _, ordered := b.ordOf[id]; ordered {
 			continue
 		}
 		e := dpdSeen[id]
@@ -326,7 +380,7 @@ func (b *Broadcast) Reconcile(now model.Time, newGroup model.Group, departed []m
 			e.acks.Add(b.self)
 		}
 		sem := oal.Semantics{Order: oal.Unordered, Atomicity: oal.WeakAtomicity}
-		b.view.AppendUpdate(id, sem, ts, oal.None, e.acks)
+		b.appendUpdate(id, sem, ts, oal.None, e.acks)
 		if id.Seq > b.orderedSeq[id.Proposer] {
 			b.orderedSeq[id.Proposer] = id.Seq
 		}
@@ -338,16 +392,11 @@ func (b *Broadcast) Reconcile(now model.Time, newGroup model.Group, departed []m
 	// Drop unordered pending bodies from departed proposers: they were
 	// never delivered anywhere (delivered ones are covered by dpd), and
 	// with the proposer gone their sequence gaps can never be repaired.
-	dep := model.NewProcessSet(departed...)
-	for id := range b.pb {
-		if dep.Has(id.Proposer) && b.view.Find(id) == nil && !b.delivered[id] {
-			delete(b.pb, id)
-			b.stats.Purged++
-		}
-	}
+	b.DropPendingFrom(departed)
 
 	// 4. Membership descriptor for the new group.
 	b.AnnounceGroup(now, newGroup)
+	b.reindex()
 	b.tryDeliver(now)
 }
 
@@ -397,7 +446,7 @@ func (b *Broadcast) markUndeliverable(now model.Time, newGroup model.Group, depa
 	for i := range b.view.Entries {
 		d := &b.view.Entries[i]
 		if d.Kind == oal.UpdateDesc && d.Undeliverable {
-			delete(b.pb, d.ID)
+			b.dropBody(d.ID)
 		}
 	}
 }
@@ -528,6 +577,7 @@ func (b *Broadcast) ApplyState(now model.Time, st *wire.State) {
 			})
 		}
 	}
+	b.orderedDirty = true // coverage and the delivered set move below
 	if st.CoveredOrdinal > b.snapshotCovered {
 		b.snapshotCovered = st.CoveredOrdinal
 	}

@@ -396,3 +396,38 @@ func TestGapTimeoutJumpsOrdering(t *testing.T) {
 		t.Fatalf("stale pre-jump body stored")
 	}
 }
+
+// A decision orders at most MaxOrdinalsPerDecision proposals, oldest
+// first; the rest stay orderable and go into the decisions that follow,
+// so nothing is lost, nothing is nacked and per-proposer order holds.
+func TestDecisionOrdersABoundedBatch(t *testing.T) {
+	h := newHarness(t, 0, 1, 2)
+	const total = 2*MaxOrdinalsPerDecision + 5
+	var want []string
+	for i := 0; i < total; i++ {
+		payload := string(rune('a'+i%26)) + string(rune('0'+i/26))
+		h.propose(model.ProcessID(i%2), payload, sem(oal.TotalOrder, oal.StrongAtomicity))
+		want = append(want, payload)
+	}
+	for left, who := total, model.ProcessID(2); left > 0; who = h.group.Successor(who) {
+		before := h.members[who].HighestOrdinal()
+		dec, missing := h.members[who].BuildDecision(h.tick(), h.group, h.group.Members)
+		h.adopt(dec)
+		if len(missing) != 0 {
+			t.Fatalf("waiting bodies reported missing: %v", missing)
+		}
+		got := int(h.members[who].HighestOrdinal() - before)
+		if got != min(left, MaxOrdinalsPerDecision) {
+			t.Fatalf("decision ordered %d of %d waiting, bound %d", got, left, MaxOrdinalsPerDecision)
+		}
+		if left -= got; (left > 0) != h.members[h.group.Successor(who)].Orderable(h.now) {
+			t.Fatalf("%d left but Orderable=%v at the successor", left, left == 0)
+		}
+	}
+	h.rotate()
+	for id := range h.members {
+		if got := h.payloads(id); !slices.Equal(got, want) {
+			t.Fatalf("p%d delivered %v, want send order %v", id, got, want)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package broadcast
 
 import (
 	"slices"
-	"sort"
 
 	"timewheel/internal/model"
 	"timewheel/internal/oal"
@@ -10,51 +9,56 @@ import (
 )
 
 // tryDeliver hands every update whose delivery conditions hold to the
-// application. It loops to a fixpoint because one delivery can unblock
-// others (ordering chains, FIFO).
+// application. The ordered passes loop to a fixpoint because one delivery
+// can unblock others (ordering chains, FIFO), and they run only when
+// something they depend on changed since the last fixpoint: a descriptor
+// or an ack bit in the view, the body of an ordered update, the group,
+// or a suppression mark running out. A body the view does not order yet
+// changes none of that.
 func (b *Broadcast) tryDeliver(now model.Time) {
+	if b.deliverRef != nil {
+		b.deliverRef(b, now)
+		return
+	}
 	if b.deferApp {
 		return
 	}
 	b.deliverFast(now)
+	for q := range b.suppressUntil {
+		b.senderSuppressed(q, now) // a mark running out unblocks its sender's updates
+	}
+	if !b.orderedDirty {
+		return
+	}
 	for b.deliverOrderedPass(now) {
 	}
+	b.orderedDirty = false
 }
 
 // DeferDeliveries toggles join-time delivery deferral (see the deferApp
 // field). member.Machine sets it when entering the join state with
 // recovered coverage to advertise; ApplyState clears it.
 func (b *Broadcast) DeferDeliveries(on bool) {
+	if b.deferApp && !on {
+		b.orderedDirty = true
+	}
 	b.deferApp = on
 }
 
 // deliverFast is the weak/unordered fast path: such updates are delivered
-// on receipt, before any ordinal is assigned. Updates delivered this way
-// are recorded in dpd until a decision orders them.
+// on receipt, before any ordinal is assigned, in (proposer, sequence)
+// order. Updates delivered this way are recorded in dpd until a decision
+// orders them.
 func (b *Broadcast) deliverFast(now model.Time) {
-	ids := make([]oal.ProposalID, 0, len(b.pb))
-	for id := range b.pb {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Proposer != ids[j].Proposer {
-			return ids[i].Proposer < ids[j].Proposer
-		}
-		return ids[i].Seq < ids[j].Seq
-	})
-	for _, id := range ids {
-		p := b.pb[id]
-		if b.delivered[id] {
+	blocked := b.fastQ[:0]
+	for _, id := range b.fastQ {
+		p, ok := b.pb[id]
+		if !ok || b.delivered[id] {
 			continue
 		}
-		if p.Sem.Order != oal.Unordered || p.Sem.Atomicity != oal.WeakAtomicity {
-			continue
-		}
-		if b.senderSuppressed(id.Proposer, now) {
-			continue
-		}
-		d := b.view.Find(id)
-		if d != nil && d.Undeliverable {
+		d := b.find(id)
+		if b.senderSuppressed(id.Proposer, now) || (d != nil && d.Undeliverable) {
+			blocked = append(blocked, id)
 			continue
 		}
 		ord := oal.None
@@ -67,18 +71,27 @@ func (b *Broadcast) deliverFast(now model.Time) {
 			b.stats.DeliveredFast++
 		}
 	}
+	b.fastQ = blocked
 }
 
-// deliverOrderedPass makes one pass over the view in ordinal order and
-// reports whether anything was delivered.
+// deliverOrderedPass makes one pass over the view in ordinal order, from
+// the delivery cursor, and reports whether anything was delivered. What
+// blocks later descriptors is collected on the way: an undelivered
+// total-ordered update blocks every later total-ordered one, and a
+// proposer's undelivered ordered-class update blocks its later ones
+// (deciders order a proposer's updates by ascending sequence, so a
+// blocker always has the smaller ordinal).
 func (b *Broadcast) deliverOrderedPass(now model.Time) bool {
 	any := false
-	for i := range b.view.Entries {
+	totalBlocked := false
+	b.fifoScratch = b.fifoScratch[:0]
+	firstUndone := oal.None
+	for i := b.view.Search(b.dcur); i < len(b.view.Entries); i++ {
 		d := &b.view.Entries[i]
 		if d.Kind != oal.UpdateDesc || d.Undeliverable || b.delivered[d.ID] {
 			continue
 		}
-		if d.Ordinal != oal.None && d.Ordinal <= b.snapshotCovered {
+		if d.Ordinal <= b.snapshotCovered {
 			// The join-time snapshot already reflects this update
 			// (adopted from a member whose oal was less truncated than
 			// the snapshot provider's).
@@ -86,19 +99,27 @@ func (b *Broadcast) deliverOrderedPass(now model.Time) bool {
 			any = true
 			continue
 		}
-		p, ok := b.pb[d.ID]
-		if !ok {
+		if p, ok := b.pb[d.ID]; ok && !b.senderSuppressed(d.ID.Proposer, now) &&
+			b.atomicityOK(d) && b.orderOK(d, totalBlocked) && b.fifoOK(d) {
+			b.deliver(p, d.Ordinal, now)
+			any = true
 			continue
 		}
-		if b.senderSuppressed(d.ID.Proposer, now) {
-			continue
+		if firstUndone == oal.None {
+			firstUndone = d.Ordinal
 		}
-		if !b.atomicityOK(d) || !b.orderOK(d) || !b.fifoOK(d) {
-			continue
+		switch d.Sem.Order {
+		case oal.TotalOrder:
+			totalBlocked = true
+			fallthrough
+		case oal.TimeOrder:
+			b.noteFIFOBlock(d.ID)
 		}
-		b.deliver(p, d.Ordinal, now)
-		any = true
 	}
+	if firstUndone == oal.None {
+		firstUndone = b.view.Next
+	}
+	b.dcur = firstUndone
 	return any
 }
 
@@ -121,52 +142,42 @@ func (b *Broadcast) deliver(p *wire.Proposal, ord oal.Ordinal, now model.Time) {
 // atomicityOK evaluates the atomicity delivery condition for descriptor
 // d against the current group.
 func (b *Broadcast) atomicityOK(d *oal.Descriptor) bool {
-	var need int
+	var k int
 	switch d.Sem.Atomicity {
 	case oal.WeakAtomicity:
 		return true
 	case oal.StrongAtomicity:
-		need = b.group.Size()/2 + 1
+		k = ackMajority
 	case oal.StrictAtomicity:
-		need = b.group.Size()
+		k = ackAll
 	default:
 		return false
 	}
 	if b.group.Size() == 0 {
 		return false
 	}
+	need := b.ackNeeds()[k]
 	// The update itself and every update it may depend on (ordinal <=
 	// hdo) must be sufficiently acknowledged. Ordinals below the view's
 	// first retained entry were truncated as stable — fully acknowledged
 	// by construction. An hdo beyond the highest known ordinal names a
 	// dependency this process has not seen, so the update must wait.
-	// One pass over the retained entries (sorted by ordinal) covers the
-	// whole [first, hdo] window: iterating ordinal-by-ordinal would cost
-	// O(hdo-first) lookups, and a corrupt hdo once turned that into a
-	// multi-minute spin on the event goroutine.
-	if d.Acks.CountIn(b.group) < need {
+	// The dependencies are covered by the ack watermark (see index.go):
+	// no walk over [first, hdo], whose length a corrupt hdo once turned
+	// into a multi-minute spin on the event goroutine.
+	if d.Acks.CountMask(b.groupMask) < need {
 		return false
 	}
 	if d.HDO > b.view.HighestOrdinal() {
 		return false
 	}
-	for i := range b.view.Entries {
-		dep := &b.view.Entries[i]
-		if dep.Ordinal == oal.None || dep.Ordinal > d.HDO {
-			continue
-		}
-		if dep.Kind != oal.UpdateDesc || dep.Undeliverable {
-			continue
-		}
-		if dep.Acks.CountIn(b.group) < need {
-			return false
-		}
-	}
-	return true
+	return d.HDO < b.firstAckFail(k, need)
 }
 
 // orderOK evaluates the ordering delivery condition for descriptor d.
-func (b *Broadcast) orderOK(d *oal.Descriptor) bool {
+// totalBlocked says an earlier total-ordered update of this pass stays
+// undelivered.
+func (b *Broadcast) orderOK(d *oal.Descriptor, totalBlocked bool) bool {
 	switch d.Sem.Order {
 	case oal.Unordered:
 		return true
@@ -174,28 +185,17 @@ func (b *Broadcast) orderOK(d *oal.Descriptor) bool {
 		// Every total-ordered update with a smaller ordinal must be
 		// delivered or purged. Truncated entries were delivered long
 		// ago (stability hysteresis).
-		for i := range b.view.Entries {
-			e := &b.view.Entries[i]
-			if e.Ordinal >= d.Ordinal {
-				break
-			}
-			if e.Kind != oal.UpdateDesc || e.Sem.Order != oal.TotalOrder {
-				continue
-			}
-			if !e.Undeliverable && !b.delivered[e.ID] {
-				return false
-			}
-		}
-		return true
+		return !totalBlocked
 	case oal.TimeOrder:
 		// Releasable once a decision at least delta+epsilon newer than
 		// the update's send timestamp exists: any timely proposal sent
 		// earlier has been ordered by then. Then deliver in
-		// (timestamp, proposer, seq) order among time-ordered updates.
+		// (timestamp, proposer, seq) order among time-ordered updates;
+		// the undelivered ones all sit at or above the delivery cursor.
 		if b.lastDecTS < d.SendTS.Add(b.params.Delta+b.params.Epsilon) {
 			return false
 		}
-		for i := range b.view.Entries {
+		for i := b.view.Search(b.dcur); i < len(b.view.Entries); i++ {
 			e := &b.view.Entries[i]
 			if e.Kind != oal.UpdateDesc || e.Sem.Order != oal.TimeOrder || e.Ordinal == d.Ordinal {
 				continue
@@ -210,6 +210,18 @@ func (b *Broadcast) orderOK(d *oal.Descriptor) bool {
 	}
 }
 
+// noteFIFOBlock records that id, an ordered-class update, stays
+// undelivered in this pass.
+func (b *Broadcast) noteFIFOBlock(id oal.ProposalID) {
+	for i := range b.fifoScratch {
+		if f := &b.fifoScratch[i]; f.proposer == id.Proposer {
+			f.seq = min(f.seq, id.Seq)
+			return
+		}
+	}
+	b.fifoScratch = append(b.fifoScratch, fifoBlock{proposer: id.Proposer, seq: id.Seq})
+}
+
 // fifoOK enforces the per-sender FIFO property across the ordered
 // classes (§4.3: "updates proposed by the same process must be delivered
 // in the order they are proposed"): every earlier-sequence total- or
@@ -218,16 +230,9 @@ func (b *Broadcast) orderOK(d *oal.Descriptor) bool {
 // imply this; the check closes the cross-class gap (e.g. a total-order
 // update followed by a time-order one).
 func (b *Broadcast) fifoOK(d *oal.Descriptor) bool {
-	for i := range b.view.Entries {
-		e := &b.view.Entries[i]
-		if e.Kind != oal.UpdateDesc || e.ID.Proposer != d.ID.Proposer || e.ID.Seq >= d.ID.Seq {
-			continue
-		}
-		if e.Sem.Order == oal.Unordered {
-			continue
-		}
-		if !e.Undeliverable && !b.delivered[e.ID] {
-			return false
+	for _, f := range b.fifoScratch {
+		if f.proposer == d.ID.Proposer {
+			return f.seq >= d.ID.Seq
 		}
 	}
 	return true

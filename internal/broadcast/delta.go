@@ -12,10 +12,9 @@ import (
 // decider therefore ships only the entries that changed, against a
 // baseline the receivers already hold:
 //
-//   - every process retains a short ring of *pristine* oals — the exact
-//     wire content of the freshest decisions it built or adopted,
-//     captured before local ack refreshes diverge b.view from them.
-//     The decision at any timestamp is one broadcast message, so every
+//   - every process remembers the *pristine* oals — the exact wire
+//     content — of the freshest few decisions it built or adopted. The
+//     decision at any timestamp is one broadcast message, so every
 //     member's pristine copy of it is identical.
 //   - a delta decision carries BaseTS (the ring's oldest timestamp at
 //     the sender — a few decisions back, not the latest), TruncBelow
@@ -34,39 +33,50 @@ import (
 //     OALReq; the server answers with its newest pristine oal in an
 //     OALFull and, as a backstop, ships its next decision full.
 //
-// Elections and membership changes force the next decision full, and
-// every fullEvery-th decision is full regardless, bounding how long a
-// lost baseline can stall a member.
+// No pristine list is stored. The newest one is the working view without
+// the ack bits this process stamped locally since (entryMeta.ownAck), so
+// a delta is applied to the view in place; and an older one is needed
+// only to tell what changed since, which each descriptor's change stamp
+// (entryMeta.chg) answers. A baseline is therefore a timestamp plus the
+// lowest ordinal changed after it, and building or adopting a decision
+// costs work over the changed entries, not over the view.
+//
+// Elections and membership changes force the next decision full, and a
+// process that has shipped deltas only for fullEvery-1 idle decision
+// intervals ships a full one regardless, bounding how long a lost
+// baseline can stall a member.
 
 const defaultFullOALEvery = 8
 
-// The baseline ring holds the pristine oals of the freshest few
-// decisions, and its size bounds how far back a delta may reach: a
-// receiver that missed up to size-1 consecutive decisions still applies
-// the next delta. The size adapts to the observed decision-loss rate:
-// every baseline repair — an OALReq from a peer that lost its baseline,
-// or a delta received here with no qualifying baseline — widens the
-// ring by one, so a lossier link tolerates a longer gap before paying a
-// full-oal round trip; deltaShrinkAfter consecutive repairs-free
-// baselines shrink it back toward the minimum, keeping the steady-state
-// retention (and Diff work against the oldest entry) small.
+// The baseline ring remembers the freshest few decisions, and its size
+// bounds how far back a delta may reach: a receiver that missed up to
+// size-1 consecutive decisions still applies the next delta. The size
+// adapts to the observed decision-loss rate: every baseline repair — an
+// OALReq from a peer that lost its baseline, or a delta received here
+// with no qualifying baseline — widens the ring by one, so a lossier
+// link tolerates a longer gap before paying a full-oal round trip;
+// deltaShrinkAfter consecutive repairs-free baselines shrink it back
+// toward the minimum, keeping deltas against the oldest entry small.
 const (
 	minDeltaWindow   = 3
 	maxDeltaWindow   = 8
 	deltaShrinkAfter = 256
 )
 
-// pristineView is one retained decision oal, exactly as it went over
-// the wire.
-type pristineView struct {
-	ts   model.Time
-	view *oal.List
+// baseline is one remembered decision: when it was sent, and the lowest
+// ordinal whose shared content a later decision changed (beyond every
+// ordinal while nothing has).
+type baseline struct {
+	ts  model.Time
+	low oal.Ordinal
 }
+
+const noOrdinal = ^oal.Ordinal(0)
 
 // deltaEligible reports whether the next outgoing decision/no-decision
 // may be delta-encoded against the retained baselines.
 func (b *Broadcast) deltaEligible() bool {
-	return b.fullEvery >= 0 && !b.forceFull && len(b.baseRing) > 0
+	return b.fullEvery >= 0 && !b.forceFull && !b.pristineLost && len(b.baseRing) > 0
 }
 
 // ForceFullOAL makes this process's next decision carry the full oal.
@@ -92,21 +102,30 @@ func (b *Broadcast) noteBaselineRepair() {
 	}
 }
 
-// pushBaseline retains full (a pristine clone the caller hands over —
-// it must not be mutated afterwards) as the newest baseline at ts.
-// Every retained baseline without an intervening repair counts toward
-// shrinking an over-widened ring back down.
-func (b *Broadcast) pushBaseline(ts model.Time, full *oal.List) {
+// pushBaseline remembers the decision at ts — whose oal the view now
+// holds — as the newest baseline. Every retained baseline without an
+// intervening repair counts toward shrinking an over-widened ring back
+// down.
+func (b *Broadcast) pushBaseline(ts model.Time) {
 	if b.deltaClean++; b.deltaClean >= deltaShrinkAfter {
 		b.deltaClean = 0
 		if b.deltaWin > minDeltaWindow {
 			b.deltaWin--
 		}
 	}
-	b.baseRing = append(b.baseRing, pristineView{ts: ts, view: full})
+	b.baseRing = append(b.baseRing, baseline{ts: ts, low: noOrdinal})
 	if len(b.baseRing) > b.deltaWin {
 		n := copy(b.baseRing, b.baseRing[len(b.baseRing)-b.deltaWin:])
 		b.baseRing = b.baseRing[:n]
+	}
+}
+
+// lowerBaselines records a change at ordinal ord in a decision newer
+// than every retained baseline. Older baselines have seen every change
+// newer ones have, so their lows are no higher and the walk stops early.
+func (b *Broadcast) lowerBaselines(ord oal.Ordinal) {
+	for k := len(b.baseRing) - 1; k >= 0 && b.baseRing[k].low > ord; k-- {
+		b.baseRing[k].low = ord
 	}
 }
 
@@ -114,58 +133,84 @@ func (b *Broadcast) pushBaseline(ts model.Time, full *oal.List) {
 // full.
 func (b *Broadcast) clearBaselines() { b.baseRing = nil }
 
-// newestBaseline returns the freshest retained pristine oal, or nil.
-func (b *Broadcast) newestBaseline() *pristineView {
-	if len(b.baseRing) == 0 {
+// newestBaseline returns the freshest retained baseline whose oal this
+// process can still produce, or nil.
+func (b *Broadcast) newestBaseline() *baseline {
+	if len(b.baseRing) == 0 || b.pristineLost {
 		return nil
 	}
 	return &b.baseRing[len(b.baseRing)-1]
 }
 
-// encodeDelta rewrites dec (currently carrying the full oal in full)
-// into delta form against the oldest retained baseline when eligible
-// and profitable. It returns whether dec is now a delta.
-func (b *Broadcast) encodeDelta(dec *wire.Decision, full *oal.List) bool {
-	if !b.deltaEligible() || b.sinceFull+1 >= b.fullEvery {
+// pristineList materialises the newest baseline's oal: the view without
+// the ack bits stamped locally since.
+func (b *Broadcast) pristineList() *oal.List {
+	out := b.view.Clone()
+	for i := range out.Entries {
+		if b.meta[i].ownAck {
+			out.Entries[i].Acks.Remove(b.self)
+		}
+	}
+	return out
+}
+
+// changedSince returns deep copies of the view's descriptors that differ
+// from the oal of the decision sent at base.ts. local adds the ones this
+// process changed on its own since the newest decision.
+func (b *Broadcast) changedSince(base *baseline, local bool) []oal.Descriptor {
+	from := base.low
+	if local {
+		from = oal.None
+	}
+	var delta []oal.Descriptor
+	for i := b.view.Search(from); i < len(b.view.Entries); i++ {
+		if b.meta[i].chg > base.ts || (local && b.meta[i].ownAck) {
+			delta = append(delta, b.view.Entries[i].Clone())
+		}
+	}
+	return delta
+}
+
+// fullDue reports whether a decision sent at ts must carry the full oal
+// because this process has shipped deltas only for too long. The bound
+// is fullEvery-1 idle decision intervals of this process — one rotation
+// of D/2 holds each, less half an interval for timer and clock jitter —
+// so in an idle group every fullEvery-th decision of a process is full,
+// and the cadence does not rise with the decision rate when deciders
+// stop waiting out their holds.
+func (b *Broadcast) fullDue(ts model.Time) bool {
+	interval := model.Duration(max(b.group.Size(), 1)) * b.params.D / 2
+	return 2*ts.Sub(b.lastFullTS) >= model.Duration(2*b.fullEvery-3)*interval
+}
+
+// encodeDelta fills dec's oal in delta form against the oldest retained
+// baseline when eligible and profitable. It returns whether it did; the
+// caller ships the full oal otherwise.
+func (b *Broadcast) encodeDelta(dec *wire.Decision) bool {
+	if !b.deltaEligible() || b.fullDue(dec.SendTS) {
 		return false
 	}
 	base := &b.baseRing[0] // oldest: tolerates receivers a few decisions behind
-	delta, ok := oal.Diff(base.view, full)
-	if !ok || len(delta) >= len(full.Entries) {
-		// Unorderable baseline or no savings: a full oal is no larger
-		// and never needs a baseline round trip.
+	delta := b.changedSince(base, false)
+	if len(delta) >= len(b.view.Entries) {
+		// No savings: a full oal is no larger and never needs a baseline
+		// round trip.
 		return false
 	}
 	dec.BaseTS = base.ts
-	dec.TruncBelow = oal.TruncationPoint(full)
-	dec.OAL = oal.List{Entries: delta, Next: full.Next}
+	dec.TruncBelow = oal.TruncationPoint(b.view)
+	dec.OAL = oal.List{Entries: delta, Next: b.view.Next}
 	return true
 }
 
-// resolveDelta overlays a delta list onto this process's newest
-// baseline, writing the reconstructed full list into out. It reports
-// whether the baseline qualifies (same lineage space implied by the
-// caller, and at least as new as the delta's BaseTS — monotone
-// descriptor evolution makes any such baseline valid).
-func (b *Broadcast) resolveDelta(baseTS model.Time, truncBelow oal.Ordinal, delta *oal.List) (out *oal.List, ok bool) {
-	base := b.newestBaseline()
-	if base == nil || baseTS > base.ts {
-		return nil, false
-	}
-	out = oal.NewList()
-	if !oal.ReconstructInto(out, base.view, truncBelow, delta) {
-		return nil, false
-	}
-	return out, true
-}
-
-// ResolveDecisionDelta reconstructs a delta-encoded decision's full oal
-// in place against this process's baselines. It returns true when dec
-// now carries a full oal — it already did, reconstruction succeeded, or
-// the decision is stale and AdoptDecision will drop it regardless — and
-// false when no baseline qualifies: the caller cannot use the decision
-// and should request a baseline via OALReq.
-func (b *Broadcast) ResolveDecisionDelta(dec *wire.Decision) bool {
+// DecisionResolvable reports whether AdoptDecision can use dec as it
+// stands: it carries a full oal, or it is stale and will be dropped
+// regardless, or its delta is keyed on a baseline this process holds
+// (same lineage, and at least as new as the delta's BaseTS — monotone
+// descriptor evolution makes any such baseline valid). On false the
+// caller cannot use the decision and should request a baseline via
+// OALReq.
+func (b *Broadcast) DecisionResolvable(dec *wire.Decision) bool {
 	if dec.BaseTS == 0 {
 		return true
 	}
@@ -176,15 +221,85 @@ func (b *Broadcast) ResolveDecisionDelta(dec *wire.Decision) bool {
 		b.stats.DeltaMisses++
 		return false
 	}
-	full, ok := b.resolveDelta(dec.BaseTS, dec.TruncBelow, &dec.OAL)
-	if !ok {
+	if base := b.newestBaseline(); base == nil || dec.BaseTS > base.ts {
 		b.stats.DeltaMisses++
 		b.noteBaselineRepair()
 		return false
 	}
-	dec.OAL = *full
-	dec.BaseTS, dec.TruncBelow = 0, 0
 	return true
+}
+
+// deltaAppliesInPlace reports whether the delta dec carries lines up
+// with the view entry for entry, as one built by a correct decider on
+// the same log does: strictly ascending ordinals, none below the
+// truncation bound, each either rewriting a retained descriptor of the
+// same identity or extending the view without a hole.
+func (b *Broadcast) deltaAppliesInPlace(dec *wire.Decision) bool {
+	next := b.view.Next
+	if len(b.view.Entries) == 0 || dec.TruncBelow > next {
+		// Nothing held survives the truncation: the new tail may start
+		// anywhere above it.
+		next = max(next, dec.TruncBelow)
+		if len(dec.OAL.Entries) > 0 {
+			next = max(next, dec.OAL.Entries[0].Ordinal)
+		}
+	}
+	prev := oal.None
+	for i := range dec.OAL.Entries {
+		e := &dec.OAL.Entries[i]
+		if e.Ordinal <= prev || e.Ordinal < dec.TruncBelow {
+			return false
+		}
+		prev = e.Ordinal
+		switch {
+		case e.Ordinal == next:
+			next++
+		case e.Ordinal > next:
+			return false
+		default:
+			cur := b.view.FindOrdinal(e.Ordinal)
+			if cur == nil || cur.Kind != e.Kind || cur.ID != e.ID {
+				return false
+			}
+		}
+	}
+	return next <= dec.OAL.Next
+}
+
+// applyDelta adopts the delta decision dec by rewriting the view in
+// place (deltaAppliesInPlace holds): the truncated head is handed off
+// and dropped, changed descriptors are overwritten, new ones appended.
+// It reports whether any proposer's ordered sequence advanced.
+func (b *Broadcast) applyDelta(now model.Time, dec *wire.Decision) (advanced bool) {
+	for i := 0; i < len(b.view.Entries) && b.view.Entries[i].Ordinal < dec.TruncBelow; i++ {
+		b.handOffTruncated(now, &b.view.Entries[i])
+	}
+	b.forgetHead(b.view.TruncateStable(func(d *oal.Descriptor) bool { return d.Ordinal < dec.TruncBelow }))
+	b.lastDecTS = dec.SendTS
+	appended := len(b.view.Entries)
+	for i := range dec.OAL.Entries {
+		e := dec.OAL.Entries[i].Clone()
+		pos := b.view.Search(e.Ordinal)
+		if pos == len(b.view.Entries) {
+			b.view.Entries = append(b.view.Entries, e)
+			b.meta = append(b.meta, entryMeta{})
+		} else {
+			if b.meta[pos].ownAck {
+				b.view.Entries[pos].Acks.Remove(b.self)
+				b.meta[pos].ownAck = false
+			}
+			if b.view.Entries[pos].Equal(&e) {
+				// Changed since the sender's baseline, not since ours.
+				b.noteDescriptor(pos)
+				continue
+			}
+			b.view.Entries[pos] = e
+		}
+		b.touch(pos, dec.SendTS)
+		b.noteDescriptor(pos)
+	}
+	b.view.Next = dec.OAL.Next
+	return b.syncOrderedSeq(appended)
 }
 
 // ResolveNoDecisionDelta reconstructs a delta-encoded no-decision view
@@ -196,8 +311,9 @@ func (b *Broadcast) ResolveNoDecisionDelta(nd *wire.NoDecision) bool {
 	if nd.BaseTS == 0 {
 		return true
 	}
-	full, ok := b.resolveDelta(nd.BaseTS, nd.TruncBelow, &nd.View)
-	if !ok {
+	full := oal.NewList()
+	if base := b.newestBaseline(); base == nil || nd.BaseTS > base.ts ||
+		!oal.ReconstructInto(full, b.pristineList(), nd.TruncBelow, &nd.View) {
 		b.stats.DeltaMisses++
 		b.noteBaselineRepair()
 		return false
@@ -213,14 +329,14 @@ func (b *Broadcast) ResolveNoDecisionDelta(nd *wire.NoDecision) bool {
 // election, so the savings compound), full otherwise. The accompanying
 // BaseTS and TruncBelow go out in the same message.
 func (b *Broadcast) NoDecisionView() (view oal.List, baseTS model.Time, truncBelow oal.Ordinal) {
-	full := b.CurrentView()
+	b.refreshOwnAcks()
 	if b.deltaEligible() {
 		base := &b.baseRing[0]
-		if delta, ok := oal.Diff(base.view, full); ok && len(delta) < len(full.Entries) {
-			return oal.List{Entries: delta, Next: full.Next}, base.ts, oal.TruncationPoint(full)
+		if delta := b.changedSince(base, true); len(delta) < len(b.view.Entries) {
+			return oal.List{Entries: delta, Next: b.view.Next}, base.ts, oal.TruncationPoint(b.view)
 		}
 	}
-	return *full, 0, 0
+	return *b.view.Clone(), 0, 0
 }
 
 // ServeFullOAL builds the OALFull reply to an OALReq: the newest
@@ -239,22 +355,18 @@ func (b *Broadcast) ServeFullOAL(now model.Time) *wire.OALFull {
 		Group:   b.group.Clone(),
 		Lineage: b.lineage,
 		DecTS:   base.ts,
-		OAL:     *base.view.Clone(),
+		OAL:     *b.pristineList(),
 	}
 }
 
 // InstallFullOAL applies a served baseline. A baseline newer than
 // anything seen here doubles as a full decision (the content is exactly
 // the decision sent at DecTS) and goes through the normal adoption
-// path, returning the bodies to nack; a baseline matching the freshest
-// adopted decision just (re)installs the overlay base. Stale baselines
+// path, returning the bodies to nack. Stale baselines, and one matching
+// the freshest adopted decision — whose oal the view already holds —
 // are ignored.
 func (b *Broadcast) InstallFullOAL(now model.Time, of *wire.OALFull) (adopted bool, missing []oal.ProposalID) {
 	if of.Lineage == b.lineage && of.DecTS == b.lastDecTS {
-		if b.newestBaseline() == nil {
-			b.pushBaseline(of.DecTS, of.OAL.Clone())
-			return true, nil
-		}
 		return false, nil
 	}
 	dec := wire.Decision{

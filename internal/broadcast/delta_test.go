@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"fmt"
 	"testing"
 
 	"timewheel/internal/model"
@@ -62,7 +63,7 @@ func TestDeltaWindowShrinksAfterCleanStreakAndTrimsRing(t *testing.T) {
 	// next push trims the retained ring to match.
 	ts := model.Time(1000)
 	for i := 0; i < deltaShrinkAfter-1; i++ {
-		b.pushBaseline(ts, oal.NewList())
+		b.pushBaseline(ts)
 		ts += 10
 	}
 	if got := b.DeltaWindow(); got != widened {
@@ -71,7 +72,7 @@ func TestDeltaWindowShrinksAfterCleanStreakAndTrimsRing(t *testing.T) {
 	if len(b.baseRing) > widened {
 		t.Fatalf("ring grew past the window: %d > %d", len(b.baseRing), widened)
 	}
-	b.pushBaseline(ts, oal.NewList()) // the deltaShrinkAfter-th clean push
+	b.pushBaseline(ts) // the deltaShrinkAfter-th clean push
 	if got := b.DeltaWindow(); got != widened-1 {
 		t.Fatalf("window after clean streak = %d, want %d", got, widened-1)
 	}
@@ -81,5 +82,60 @@ func TestDeltaWindowShrinksAfterCleanStreakAndTrimsRing(t *testing.T) {
 	// The trim keeps the newest baselines.
 	if got := b.newestBaseline().ts; got != ts {
 		t.Fatalf("newest baseline ts = %d, want %d", got, ts)
+	}
+}
+
+// A delta decision is built from change stamps, not by comparing lists:
+// it must still be exactly oal.Diff of the full oal against the oal of
+// the decision it names as its base, and a member that adopts it in
+// place must end up holding the sender's full oal.
+func TestDeltaDecisionEqualsDiffOfPristineLists(t *testing.T) {
+	h := newHarness(t, 0, 1, 2)
+	pristine := map[model.Time]*oal.List{} // every decision's full oal, by send timestamp
+	deltas := 0
+	for r := 0; r < 120; r++ {
+		for k := 0; k <= r%3; k++ {
+			h.now += 100
+			from := model.ProcessID((r + k) % 3)
+			h.fanout(h.members[from].Propose(h.now, []byte(fmt.Sprintf("u%d.%d", r, k)), sem(oal.Order(r%3), oal.Atomicity((r+k)%3))))
+		}
+		if r%17 == 16 {
+			h.now = h.now.Add(h.params.CycleLen()) // let a stable prefix truncate
+		}
+		decider := h.members[model.ProcessID(r%3)]
+		h.now = h.now.Add(h.params.D / 4)
+		dec, _ := decider.BuildDecision(h.now, h.group, h.group.Members)
+		full := decider.pristineList()
+		pristine[dec.SendTS] = full
+		if dec.BaseTS != 0 {
+			deltas++
+			base, ok := pristine[dec.BaseTS]
+			if !ok {
+				t.Fatalf("round %d: delta keyed on %d, which no decision was sent at", r, dec.BaseTS)
+			}
+			want, _ := oal.Diff(base, full)
+			got := &oal.List{Entries: dec.OAL.Entries, Next: full.Next}
+			if !got.Equal(&oal.List{Entries: want, Next: full.Next}) || dec.TruncBelow != oal.TruncationPoint(full) {
+				t.Fatalf("round %d: delta %v (trunc %d)\nwant Diff   %v (trunc %d)", r, dec.OAL.Entries, dec.TruncBelow, want, oal.TruncationPoint(full))
+			}
+		}
+		for id, m := range h.members {
+			if id == dec.From {
+				continue
+			}
+			msg, err := wire.Decode(wire.Encode(dec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if adopted, _ := m.AdoptDecision(h.now, msg.(*wire.Decision)); !adopted {
+				t.Fatalf("round %d: p%d did not adopt", r, id)
+			}
+			if got := m.pristineList(); !got.Equal(full) {
+				t.Fatalf("round %d: p%d holds %v\nthe decision's oal is %v", r, id, got, full)
+			}
+		}
+	}
+	if deltas < 60 {
+		t.Fatalf("only %d of 120 decisions were deltas: the test did not exercise them", deltas)
 	}
 }

@@ -127,6 +127,7 @@ func (b *Broadcast) SeedRecovered(img Image) {
 	for _, x := range img.Extra {
 		b.delivered[x.ID] = true
 	}
+	b.orderedDirty = true
 	for _, f := range img.FIFO {
 		if f.Seq > b.orderedSeq[f.Proposer] {
 			b.orderedSeq[f.Proposer] = f.Seq

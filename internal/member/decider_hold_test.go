@@ -1,0 +1,304 @@
+package member
+
+import (
+	"testing"
+
+	"timewheel/internal/model"
+	"timewheel/internal/oal"
+	"timewheel/internal/wire"
+)
+
+var totalStrong = oal.Semantics{Order: oal.TotalOrder, Atomicity: oal.StrongAtomicity}
+
+// proposalFrom crafts the next proposal of a remote member.
+func (r *rig) proposalFrom(from model.ProcessID, seq uint64) *wire.Proposal {
+	return &wire.Proposal{
+		Header:  wire.Header{From: from, SendTS: r.env.now},
+		ID:      oal.ProposalID{Proposer: from, Seq: seq},
+		Sem:     totalStrong,
+		Payload: []byte("x"),
+	}
+}
+
+func (r *rig) decisionsSent() int {
+	n := 0
+	for _, k := range r.env.sentKinds() {
+		if k == wire.KindDecision {
+			n++
+		}
+	}
+	return n
+}
+
+// slot is the early-decision grid of the rig's parameters.
+func (r *rig) slot() model.Duration { return r.p.D / earlySlotsPerD }
+
+// fireDecide advances the clock to the armed decide timer and fires it.
+func (r *rig) fireDecide() {
+	at, armed := r.env.timers[TimerDecide]
+	if !armed {
+		r.t.Fatalf("decide timer not armed")
+	}
+	r.env.now = at
+	delete(r.env.timers, TimerDecide)
+	r.m.OnTimer(TimerDecide)
+}
+
+// A decider with nothing to order holds the role for D/2, exactly as
+// before; with a proposal waiting it decides in the next early-decision
+// slot: in the handler that gave it the role when the slot after the
+// handing decision has begun, on the timer otherwise.
+func TestDeciderHoldsIdleAndDecidesWithWorkWaiting(t *testing.T) {
+	idle := newRig(t, 2)
+	idle.join(1) // p1's decision hands p2 the role
+	if !idle.m.IsDecider() || idle.decisionsSent() != 0 {
+		t.Fatalf("idle decider: isDecider=%v decisions=%d", idle.m.IsDecider(), idle.decisionsSent())
+	}
+	if at, ok := idle.env.timers[TimerDecide]; !ok || at != idle.env.now.Add(idle.p.D/2) {
+		t.Fatalf("idle hold: timer %v armed=%v, want now+D/2", at, ok)
+	}
+	if got := idle.m.Stats().DecisionsEarly; got != 0 {
+		t.Fatalf("idle decider counted %d early decisions", got)
+	}
+
+	for _, inSlot := range []bool{true, false} {
+		busy := newRig(t, 2)
+		busy.join(0) // p1 is next; p2 watches
+		busy.m.OnMessage(busy.proposalFrom(3, 1))
+		if busy.decisionsSent() != 0 {
+			t.Fatalf("a non-decider decided on a proposal")
+		}
+		busy.env.now += 100
+		dec := busy.decisionFrom(1, busy.m.Group())
+		if inSlot {
+			// The handing decision reaches us one slot after it was sent.
+			busy.env.now = busy.env.now.Add(busy.slot())
+		}
+		busy.m.OnMessage(dec)
+		if !inSlot {
+			if busy.decisionsSent() != 0 || !busy.m.IsDecider() {
+				t.Fatalf("decided in the slot of the handing decision")
+			}
+			q := model.Time(busy.slot())
+			if at := busy.env.timers[TimerDecide]; at != dec.SendTS-dec.SendTS%q+q {
+				t.Fatalf("decide timer at %d, want the slot edge after %d", at, dec.SendTS)
+			}
+			busy.fireDecide()
+		}
+		if busy.decisionsSent() != 1 || busy.m.IsDecider() {
+			t.Fatalf("role with work waiting (inSlot=%v): decisions=%d isDecider=%v", inSlot, busy.decisionsSent(), busy.m.IsDecider())
+		}
+		if _, armed := busy.env.timers[TimerDecide]; armed {
+			t.Fatalf("decide timer left armed after an early decision")
+		}
+		sent := busy.env.lastSent().(*wire.Decision)
+		if n := len(sent.OAL.Entries); n == 0 || sent.OAL.Entries[n-1].ID != (oal.ProposalID{Proposer: 3, Seq: 1}) {
+			t.Fatalf("early decision did not order the waiting proposal: %v", sent.OAL.Entries)
+		}
+		if st := busy.m.Stats(); st.DecisionsEarly != 1 || st.DecisionsSent != 1 {
+			t.Fatalf("stats: %+v", st)
+		}
+	}
+}
+
+// While holding the role, the decider decides when a proposal arrives
+// (remote or its own) — and only when that proposal can be ordered: every
+// early decision assigns at least one ordinal, so the role cannot spin.
+func TestProposalArrivalEndsTheHold(t *testing.T) {
+	r := newRig(t, 2)
+	r.join(1)
+	r.env.now = r.env.now.Add(r.slot()) // past the slot of the handing decision
+	ordered := func() uint64 { return uint64(r.bc.HighestOrdinal()) }
+	base := ordered()
+
+	// A body with a sequence gap cannot be ordered: the hold stays.
+	hold := r.env.timers[TimerDecide]
+	r.m.OnMessage(r.proposalFrom(3, 7))
+	if r.decisionsSent() != 0 || r.m.Stats().DecisionsEarly != 0 {
+		t.Fatalf("decided on an unorderable proposal")
+	}
+	if at, armed := r.env.timers[TimerDecide]; !armed || at != hold {
+		t.Fatalf("hold timer moved: %d armed=%v, was %d", at, armed, hold)
+	}
+	// A contiguous one ends it.
+	r.m.OnMessage(r.proposalFrom(4, 1))
+	if r.decisionsSent() != 1 || r.m.Stats().DecisionsEarly != 1 || ordered() != base+1 {
+		t.Fatalf("arrival did not end the hold: decisions=%d early=%d ordered=%d", r.decisionsSent(), r.m.Stats().DecisionsEarly, ordered()-base)
+	}
+
+	// Inside the slot of the handing decision the arrival only brings the
+	// timer forward, and a second arrival leaves it there.
+	paced := newRig(t, 2)
+	paced.join(1)
+	paced.m.OnMessage(paced.proposalFrom(4, 1))
+	at := paced.env.timers[TimerDecide]
+	if paced.decisionsSent() != 0 || at >= paced.env.now.Add(paced.slot())+1 || at <= paced.env.now {
+		t.Fatalf("arrival inside the slot: decisions=%d timer=%d now=%d", paced.decisionsSent(), at, paced.env.now)
+	}
+	paced.env.now += 10
+	paced.m.OnMessage(paced.proposalFrom(4, 2))
+	if paced.env.timers[TimerDecide] != at {
+		t.Fatalf("second arrival moved the timer")
+	}
+	paced.fireDecide()
+	if paced.decisionsSent() != 1 || paced.m.Stats().DecisionsEarly != 1 || uint64(paced.bc.HighestOrdinal()) != base+2 {
+		t.Fatalf("slot edge: decisions=%d early=%d", paced.decisionsSent(), paced.m.Stats().DecisionsEarly)
+	}
+
+	// Own proposals: the proposal goes out first, then the decision. (A
+	// process's first proposal carries a clock-seeded sequence, which is a
+	// gap to the decider; p1 orders it here so that the second continues
+	// an ordered sequence.)
+	own := newRig(t, 2)
+	own.join(0)
+	first := own.m.Propose([]byte("first"), totalStrong)
+	dec := own.decisionFrom(1, own.m.Group())
+	dec.OAL.AppendUpdate(first.ID, first.Sem, first.SendTS, first.HDO, 0)
+	own.env.now += 100
+	dec.SendTS = own.env.now
+	own.m.OnMessage(dec)
+	if !own.m.IsDecider() || own.decisionsSent() != 0 {
+		t.Fatalf("setup: isDecider=%v decisions=%d", own.m.IsDecider(), own.decisionsSent())
+	}
+	own.env.now = own.env.now.Add(own.slot())
+	if own.m.Propose([]byte("second"), totalStrong) == nil {
+		t.Fatalf("propose refused")
+	}
+	kinds := own.env.sentKinds()
+	if n := len(kinds); n < 2 || kinds[n-2] != wire.KindProposal || kinds[n-1] != wire.KindDecision {
+		t.Fatalf("sent %v, want proposal then decision", kinds)
+	}
+}
+
+// Early decisions belong to failure-free operation only: a decider-less
+// process, a singleton group and every election state keep their timing.
+func TestNoEarlyDecisionOutsideFailureFree(t *testing.T) {
+	r := newRig(t, 2)
+	r.join(4) // p2 expects p0
+	r.m.OnMessage(r.proposalFrom(3, 1))
+	r.timeoutExpected() // p0 silent: 1-failure-receive
+	if r.m.State() != State1FailureReceive {
+		t.Fatalf("state %v", r.m.State())
+	}
+	r.m.OnMessage(r.proposalFrom(3, 2))
+	r.m.Propose([]byte("mine"), totalStrong)
+	for _, q := range []model.ProcessID{1, 3} {
+		r.env.now += 10
+		r.m.OnMessage(r.ndFrom(q, 0))
+	}
+	if r.decisionsSent() != 0 || r.m.Stats().DecisionsEarly != 0 {
+		t.Fatalf("decided during an election: state %v, sent %v", r.m.State(), r.env.sentKinds())
+	}
+	// Escalation to n-failure, with proposals still waiting.
+	r.timeoutExpected()
+	if r.m.State() != StateNFailure {
+		t.Fatalf("state %v", r.m.State())
+	}
+	r.m.OnMessage(r.proposalFrom(3, 3))
+	if r.decisionsSent() != 0 {
+		t.Fatalf("decided in n-failure")
+	}
+}
+
+// Every election state has an exit armed. The ring can bring the
+// expectation round to this process itself (here through a predecessor
+// that answers again, as one holding a stale group does): with nobody to
+// watch and no decider duty coming, it used to sit in 1-failure-send
+// forever. It now gives the election one cycle and falls back to
+// n-failure.
+func TestStalledSingleElectionFallsBackToNFailure(t *testing.T) {
+	r := newRig(t, 2)
+	r.join(4)           // p2 expects p0
+	r.timeoutExpected() // suspect p0; the ring starts at p1
+	r.env.now += 10
+	r.m.OnMessage(r.ndFrom(1, 0)) // our predecessor concurs: we send ours
+	if r.m.State() != State1FailureSend {
+		t.Fatalf("state %v", r.m.State())
+	}
+	for _, q := range []model.ProcessID{3, 4, 1} {
+		r.env.now += 10
+		r.m.OnMessage(r.ndFrom(q, 0))
+	}
+	if _, _, active := r.m.Detector().Expected(); active {
+		t.Fatalf("setup: an expectation is still armed")
+	}
+	if r.m.State() != State1FailureSend {
+		t.Fatalf("state %v", r.m.State())
+	}
+	at, armed := r.env.timers[TimerExpect]
+	if !armed {
+		t.Fatalf("1-failure-send with no expectation and no timer: no exit")
+	}
+	if want := r.env.now.Add(r.p.CycleLen()); at != want {
+		t.Fatalf("stall deadline %d, want one cycle from now = %d", at, want)
+	}
+	r.env.now = at
+	r.m.OnTimer(TimerExpect)
+	if r.m.State() != StateNFailure {
+		t.Fatalf("stalled election ended in %v, want n-failure", r.m.State())
+	}
+}
+
+// A joiner whose admitting decision arrives late takes no role from it,
+// but it must start watching the process the group is waiting for: on a
+// loaded host every joiner can get the forming decision late, and a
+// group whose members all sit in failure-free with nothing armed never
+// decides, never suspects and never readmits its former.
+func TestLateAdmittingDecisionArmsSurveillance(t *testing.T) {
+	r := newRig(t, 0)
+	g := model.NewGroup(1, []model.ProcessID{0, 1, 2, 3, 4})
+	l := oal.NewList()
+	l.AppendMembership(g)
+	r.m.Start()
+	sent := r.env.now
+	r.env.now = sent.Add(r.p.D) // well past delta+epsilon+sigma
+	r.m.OnMessage(&wire.Decision{Header: wire.Header{From: 1, SendTS: sent}, Group: g, OAL: *l, Alive: g.Members})
+	if r.m.State() != StateFailureFree || r.m.IsDecider() {
+		t.Fatalf("state %v decider=%v", r.m.State(), r.m.IsDecider())
+	}
+	exp, _, active := r.m.Detector().Expected()
+	if !active || exp != 2 {
+		t.Fatalf("expecting p%d (active=%v) after a late admission from p1, want p2", exp, active)
+	}
+	if _, armed := r.env.timers[TimerExpect]; !armed {
+		t.Fatalf("no expect timer armed")
+	}
+
+	// When the role would have been ours, it is not taken late.
+	own := newRig(t, 2)
+	own.m.Start()
+	own.env.now = sent.Add(own.p.D)
+	own.m.OnMessage(&wire.Decision{Header: wire.Header{From: 1, SendTS: sent}, Group: g, OAL: *l, Alive: g.Members})
+	if own.m.IsDecider() {
+		t.Fatalf("took the decider role from a late decision")
+	}
+}
+
+// A decision sent before this process dropped back to the join state
+// cannot be its admission: it lists the process only because its sender
+// had not yet seen it leave. Such decisions are still queued when a
+// stalled process excludes itself; taking one as an admission put the
+// process back into a group that was busy removing it, and the cold
+// reset that followed cost the warm rejoin.
+func TestDecisionSentBeforeRejoinIsNoAdmission(t *testing.T) {
+	r := newRig(t, 2)
+	r.join(4)
+	g := r.m.Group()
+	stale := r.decisionFrom(0, g) // sent while p2 was still a member
+	stale.SendTS = r.env.now.Add(100)
+	r.env.now = r.env.now.Add(5 * r.p.D)
+	r.m.SelfExclude()
+	if r.m.State() != StateJoin {
+		t.Fatalf("state %v after self-exclusion", r.m.State())
+	}
+	r.m.OnMessage(stale)
+	if r.m.State() != StateJoin || r.m.HaveGroup() {
+		t.Fatalf("a decision sent before the rejoin admitted the process: %v", r.m)
+	}
+	r.env.now = r.env.now.Add(r.p.D)
+	fresh := r.decisionFrom(1, model.NewGroup(g.Seq+1, g.Members))
+	r.m.OnMessage(fresh)
+	if r.m.State() != StateFailureFree {
+		t.Fatalf("a decision sent after the rejoin did not admit the process: %v", r.m)
+	}
+}

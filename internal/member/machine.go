@@ -138,9 +138,10 @@ type Hooks struct {
 
 // Config tunes the machine.
 type Config struct {
-	// DeciderHold is how long a process holds the decider role before
-	// sending its decision (batching window). Must be well under D;
-	// defaults to D/2.
+	// DeciderHold is how long a process with nothing to order holds the
+	// decider role before sending its decision (the idle cadence; with
+	// proposals waiting it decides in the next early-decision slot, see
+	// decideIfOrderable). Must be well under D; defaults to D/2.
 	DeciderHold model.Duration
 	// DisableFastPath skips the single-failure no-decision election and
 	// escalates every timeout straight to the time-slotted
@@ -209,8 +210,14 @@ type Machine struct {
 	// majority S from its own last group, deadlocking every election.
 	nfSince model.Time
 
-	// Decider duty.
+	// joinSince is when this process last dropped back to the join state
+	// (zero for its first join): decisions sent earlier cannot admit it.
+	joinSince model.Time
+
+	// Decider duty: decideAt is what TimerDecide is set to while the
+	// role is held.
 	isDecider bool
+	decideAt  model.Time
 
 	// Join protocol.
 	lastJoin map[model.ProcessID]joinInfo
@@ -285,6 +292,7 @@ type Stats struct {
 	ReconfigsSent     uint64
 	JoinsSent         uint64
 	DecisionsSent     uint64
+	DecisionsEarly    uint64 // of DecisionsSent: sent without waiting out the idle hold
 	Admissions        uint64
 	SelfExclusions    uint64 // guard-triggered drops to the join state
 	OALReqsSent       uint64 // full-oal baseline requests sent
@@ -395,6 +403,7 @@ func (m *Machine) Propose(payload []byte, sem oal.Semantics) *wire.Proposal {
 	}
 	p := m.bc.Propose(m.sendTS(), payload, sem)
 	m.broadcast(p)
+	m.decideIfOrderable()
 	return p
 }
 
@@ -514,6 +523,15 @@ func (m *Machine) expectAfter(sender model.ProcessID, ts model.Time) {
 		// Our own turn (the decider duty timer covers us) or a
 		// degenerate group: nothing to watch.
 		m.fd.ClearExpectation()
+		if m.inSingleElection() {
+			// No decider duty is coming in these states, and with nobody
+			// to watch nothing would ever move this process again. The
+			// ring needs at most (N-1)·D to come round or conclude; give
+			// the election a whole cycle, then treat it as stalled
+			// (onExpectTimeout).
+			m.env.SetTimer(TimerExpect, m.env.Now().Add(m.params.CycleLen()))
+			return
+		}
 		m.env.CancelTimer(TimerExpect)
 		return
 	}
@@ -526,6 +544,19 @@ func (m *Machine) expectAfter(sender model.ProcessID, ts model.Time) {
 	// Fire strictly after the deadline: a message arriving exactly at
 	// the deadline is still timely.
 	m.env.SetTimer(TimerExpect, deadline.Add(1))
+}
+
+// inSingleElection reports whether the machine is in one of the
+// single-failure election states. Each of them must have an exit armed —
+// an expectation, or the stall deadline expectAfter sets when there is
+// nobody to expect — because no timer of their own drives them (join and
+// n-failure run on the slot timer, failure-free on the rotation).
+func (m *Machine) inSingleElection() bool {
+	switch m.state {
+	case StateWrongSuspicion, State1FailureReceive, State1FailureSend:
+		return true
+	}
+	return false
 }
 
 // scheduleSlotTimer arms TimerSlot for the start of this process's next

@@ -52,6 +52,7 @@ func (m *Machine) OnMessage(msg wire.Message) {
 		// OnDeadlineTighten callback (wired in New).
 		m.fd.RecordAppDelay(v.From, v.SendTS, m.env.Now())
 		m.bc.OnProposal(m.env.Now(), v)
+		m.decideIfOrderable()
 	case *wire.Nack:
 		for _, body := range m.bc.OnNack(v) {
 			// Retransmit with ourselves as the datagram source: the
@@ -186,6 +187,9 @@ func (m *Machine) OnTimer(id TimerID) {
 		m.onExpectTimeout()
 	case TimerDecide:
 		if m.isDecider {
+			if m.canOrder() {
+				m.stats.DecisionsEarly++
+			}
 			m.sendDecision()
 		}
 	case TimerSlot:
@@ -207,7 +211,7 @@ func (m *Machine) onDecision(dec *wire.Decision) {
 		// descriptor and purge marks — ignore it entirely.
 		return
 	}
-	if !m.bc.ResolveDecisionDelta(dec) {
+	if !m.bc.DecisionResolvable(dec) {
 		// Delta-encoded against a baseline we don't hold (first contact,
 		// or we missed the baseline decision): fetch the baseline; the
 		// chain re-delivers the content, and surveillance keeps running
@@ -233,7 +237,13 @@ func (m *Machine) onDecision(dec *wire.Decision) {
 	// Fresh decisions are authoritative: only deciders send them, and
 	// the elections guarantee at most one decider.
 	if m.state == StateJoin {
-		if dec.Group.Contains(m.self) {
+		// An admission answers a join of this stay in the join state, so it
+		// was sent after the stay began. A decision sent before that (still
+		// queued when a stalled process excluded itself, say) lists this
+		// process only because its sender had not yet learned it left:
+		// taking it as an admission would put the process back into a
+		// group that is busy removing it, and cost it the warm rejoin.
+		if dec.Group.Contains(m.self) && dec.SendTS.Add(m.params.Epsilon) >= m.joinSince {
 			m.joinCompleted(dec)
 		}
 		return
@@ -354,7 +364,7 @@ func (m *Machine) joinCompleted(dec *wire.Decision) {
 	// between volatile processes; but when a co-former advertised fresher
 	// recovered state, the forming decider's application state is the new
 	// lineage's base and ours is stale, so the transfer debt applies.
-	formation := len(dec.OAL.Entries) == 1 &&
+	formation := dec.BaseTS == 0 && len(dec.OAL.Entries) == 1 &&
 		dec.OAL.Entries[0].Kind == oal.MembershipDesc &&
 		dec.OAL.Entries[0].Ordinal == 1
 	if formation {
@@ -367,10 +377,20 @@ func (m *Machine) joinCompleted(dec *wire.Decision) {
 	} else if m.appliedStateSeq < dec.Group.Seq {
 		m.needState = true
 	}
-	if m.isLate(dec.From, dec.SendTS, m.env.Now()) {
-		return // a later timely decision will arm rotation for us
-	}
 	next := m.group.Successor(dec.From)
+	if m.isLate(dec.From, dec.SendTS, m.env.Now()) {
+		// A late decision hands the role to no one. It still tells us whom
+		// the group is waiting for: watch that process, or — when every
+		// joiner got the forming decision late, as on a loaded host —
+		// nobody ever would, the group would sit in failure-free with no
+		// decider and no expectation, and its former would wait alone in
+		// the join state for good. (When the role would have been ours, the
+		// others' expectation on us does the same job.)
+		if next != m.self {
+			m.expectAfter(dec.From, dec.SendTS)
+		}
+		return
+	}
 	if next == m.self {
 		m.becomeDecider(dec.SendTS)
 	} else {
@@ -445,6 +465,7 @@ func (m *Machine) resetForJoin() {
 	m.env.CancelTimer(TimerExpect)
 	m.env.CancelTimer(TimerDecide)
 	m.env.CancelTimer(TimerNack)
+	m.joinSince = m.env.Now()
 	m.setState(StateJoin)
 }
 
@@ -665,7 +686,7 @@ func (m *Machine) winSingleElection() {
 			// must not reconcile without it — stand down and let the
 			// requested baseline arrive (or the election escalate to the
 			// reconfiguration protocol, whose views are always full).
-			if nd.View.Next > m.bc.CurrentView().Next {
+			if nd.View.Next > m.bc.HighestOrdinal()+1 {
 				m.requestFullOAL(from)
 				return
 			}
@@ -715,6 +736,11 @@ func (m *Machine) onExpectTimeout() {
 		// armed. Re-arm for the still-pending deadline.
 		if _, pending, active := m.fd.Expected(); active {
 			m.env.SetTimer(TimerExpect, pending.Add(1))
+		} else if m.inSingleElection() {
+			// The stall deadline of an election with nobody left to watch
+			// (see expectAfter): it did not conclude, so more than one
+			// failure has occurred.
+			m.enterNFailure(m.ndSent)
 		}
 		return
 	}
@@ -751,10 +777,12 @@ func (m *Machine) onExpectTimeout() {
 
 // --- Decider duty --------------------------------------------------------
 
-// becomeDecider assumes the decider role with the configured batching
-// hold; the decision goes out on TimerDecide. baseTS is the send
-// timestamp of the decision that handed us the role: peers expect our
-// control message by baseTS+2D, so when that decision arrived late (a
+// becomeDecider assumes the decider role. The role is held for the
+// configured idle hold and the decision goes out on TimerDecide — unless
+// proposals are waiting to be ordered, which brings the decision forward
+// to the next early-decision slot (see decideIfOrderable). baseTS is the
+// send timestamp of the decision that handed us the role: peers expect
+// our control message by baseTS+2D, so when that decision arrived late (a
 // retransmission after a masked false alarm) the hold is shortened to
 // keep our decision inside their deadline.
 func (m *Machine) becomeDecider(baseTS model.Time) {
@@ -773,7 +801,65 @@ func (m *Machine) becomeDecider(baseTS model.Time) {
 	// receipt (expectAfter grants now+D), so the full hold applies — it
 	// also gives a concurrent wrong-suspicion takeover decision time to
 	// arrive and relinquish us before we send a competing one.
+	m.armDecide(at)
+	m.decideIfOrderable()
+}
+
+// armDecide sets the decider-duty timer and remembers what it is set to,
+// so that an early-decision slot only ever brings it forward.
+func (m *Machine) armDecide(at model.Time) {
+	m.decideAt = at
 	m.env.SetTimer(TimerDecide, at)
+}
+
+// earlySlotsPerD divides D into the slots early decisions are sent in.
+const earlySlotsPerD = 32
+
+// earlySlot is the first early-decision slot after the latest decision
+// this process sent or adopted: the next multiple of D/earlySlotsPerD on
+// the synchronized clock. Slots sit on a grid rather than a fixed
+// distance after the previous decision so that the lateness of one
+// decision's timer does not push back every decision after it.
+func (m *Machine) earlySlot() model.Time {
+	q := model.Time(max(m.params.D/earlySlotsPerD, 1))
+	last := m.bc.LastDecisionTS()
+	return last - last%q + q
+}
+
+// decideIfOrderable is the work-conserving half of the decider duty: the
+// paper bounds the interval before a decider sends its decision by D
+// from above only, so a decider that has something to order does not sit
+// out the idle hold. In failure-free operation of a group of at least
+// two, a decider whose decision would assign at least one ordinal sends
+// it in the next early-decision slot: at the end of the current handler
+// — the one that gave it the role or the proposal — when the slot has
+// already begun, and on TimerDecide otherwise. Slots bound the decision
+// rate under load (at most earlySlotsPerD per D, each ordering a bounded
+// batch — see broadcast.MaxOrdinalsPerDecision), so what a group orders
+// per second is set by D and not by how fast its hosts happen to run.
+// With nothing to order, and in every other state, the hold and all
+// failure-detector deadlines stay as they are. The test is exact
+// (broadcast.Orderable), so every early decision orders a proposal and
+// the role cannot spin through an idle group.
+func (m *Machine) decideIfOrderable() {
+	if !m.isDecider || !m.canOrder() {
+		return
+	}
+	if at := m.earlySlot(); at > m.env.Now() {
+		if at < m.decideAt {
+			m.armDecide(at)
+		}
+		return
+	}
+	m.env.CancelTimer(TimerDecide)
+	m.stats.DecisionsEarly++
+	m.sendDecision()
+}
+
+// canOrder reports whether a decision of the failure-free rotation sent
+// now would order a proposal: what makes it an early decision.
+func (m *Machine) canOrder() bool {
+	return m.state == StateFailureFree && m.group.Size() >= 2 && m.bc.Orderable(m.env.Now())
 }
 
 // becomeDeciderNow assumes the decider role and sends the decision
@@ -811,7 +897,7 @@ func (m *Machine) sendDecision() {
 	if m.group.Size() <= 1 {
 		// Singleton group: the role rotates back to us.
 		m.setDecider(true)
-		m.env.SetTimer(TimerDecide, now.Add(m.params.D))
+		m.armDecide(now.Add(m.params.D))
 		return
 	}
 	m.expectAfter(m.self, dec.SendTS)

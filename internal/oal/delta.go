@@ -28,8 +28,10 @@ func strictlyOrdered(entries []Descriptor) bool {
 	return true
 }
 
-// descriptorEqual is Equal's per-entry comparison, shared with Diff.
-func descriptorEqual(a, b *Descriptor) bool {
+// Equal reports whether a and b agree in every field, acknowledgement
+// bits, marks and stability stamp included (List.Equal's per-entry
+// comparison, shared with Diff).
+func (a *Descriptor) Equal(b *Descriptor) bool {
 	if a.Kind != b.Kind || a.Ordinal != b.Ordinal || a.ID != b.ID ||
 		a.Sem != b.Sem || a.HDO != b.HDO || a.Acks != b.Acks ||
 		a.Undeliverable != b.Undeliverable || a.SendTS != b.SendTS ||
@@ -61,7 +63,7 @@ func Diff(base, full *List) (delta []Descriptor, ok bool) {
 	for i := range full.Entries {
 		f := &full.Entries[i]
 		b := base.FindOrdinal(f.Ordinal)
-		if b == nil || !descriptorEqual(b, f) {
+		if b == nil || !b.Equal(f) {
 			delta = append(delta, f.Clone())
 		}
 	}

@@ -118,6 +118,13 @@ func (a *AckSet) Add(p model.ProcessID) {
 	}
 }
 
+// Remove clears p's acknowledgement.
+func (a *AckSet) Remove(p model.ProcessID) {
+	if p >= 0 && p < MaxProcesses {
+		*a &^= 1 << uint(p)
+	}
+}
+
 // Has reports whether p has acknowledged.
 func (a AckSet) Has(p model.ProcessID) bool {
 	return p >= 0 && p < MaxProcesses && a&(1<<uint(p)) != 0
@@ -136,6 +143,20 @@ func (a AckSet) CountIn(g model.Group) int {
 	}
 	return n
 }
+
+// MaskOf returns the ack set holding exactly g's members: counting a
+// descriptor's acknowledgements within g is then Intersect + Count, with
+// no walk over the member list.
+func MaskOf(g model.Group) AckSet {
+	var a AckSet
+	for _, m := range g.Members {
+		a.Add(m)
+	}
+	return a
+}
+
+// CountMask returns how many processes of mask have acknowledged.
+func (a AckSet) CountMask(mask AckSet) int { return bits.OnesCount64(uint64(a & mask)) }
 
 // Union merges two ack sets.
 func (a AckSet) Union(b AckSet) AckSet { return a | b }
@@ -297,13 +318,27 @@ func (l *List) Find(id ProposalID) *Descriptor {
 	return nil
 }
 
-// FindOrdinal returns a pointer to the descriptor with the given ordinal,
-// or nil if it is absent (unassigned, or already purged from the head).
-func (l *List) FindOrdinal(ord Ordinal) *Descriptor {
-	if ord == None {
-		return nil
+// Search returns the position of the first descriptor whose ordinal is at
+// least ord (len(Entries) when there is none). Ordinals are assigned
+// without gaps and only a prefix is ever truncated, so in every list a
+// correct process builds the position is ord minus the first retained
+// ordinal; a list with holes (only a corrupt peer sends one) falls back
+// to binary search.
+func (l *List) Search(ord Ordinal) int {
+	n := len(l.Entries)
+	if n == 0 || ord <= l.Entries[0].Ordinal {
+		return 0
 	}
-	i, ok := slices.BinarySearchFunc(l.Entries, ord, func(d Descriptor, o Ordinal) int {
+	if i := uint64(ord - l.Entries[0].Ordinal); i < uint64(n) {
+		if l.Entries[i].Ordinal == ord {
+			return int(i)
+		}
+	} else if last := l.Entries[n-1].Ordinal; last-l.Entries[0].Ordinal == Ordinal(n-1) {
+		if ord > last {
+			return n
+		}
+	}
+	i, _ := slices.BinarySearchFunc(l.Entries, ord, func(d Descriptor, o Ordinal) int {
 		switch {
 		case d.Ordinal < o:
 			return -1
@@ -313,10 +348,19 @@ func (l *List) FindOrdinal(ord Ordinal) *Descriptor {
 			return 0
 		}
 	})
-	if !ok {
+	return i
+}
+
+// FindOrdinal returns a pointer to the descriptor with the given ordinal,
+// or nil if it is absent (unassigned, or already purged from the head).
+func (l *List) FindOrdinal(ord Ordinal) *Descriptor {
+	if ord == None {
 		return nil
 	}
-	return &l.Entries[i]
+	if i := l.Search(ord); i < len(l.Entries) && l.Entries[i].Ordinal == ord {
+		return &l.Entries[i]
+	}
+	return nil
 }
 
 // Ack records that process p has received the proposal with ID id.
@@ -332,20 +376,25 @@ func (l *List) Ack(id ProposalID, p model.ProcessID) bool {
 // MergeAcks unions acknowledgement bits from another view of the same
 // log. Only descriptors present in both lists are merged; ordinal
 // mismatches for the same proposal ID indicate divergent logs and panic.
+// Views of one log hold a proposal at the same ordinal, so the lookup is
+// by ordinal; the scan by ID only runs for a descriptor the ordinal does
+// not match, which is the divergent (or truncated-here) case.
 func (l *List) MergeAcks(other *List) {
 	for i := range other.Entries {
 		od := &other.Entries[i]
 		if od.Kind != UpdateDesc {
 			continue
 		}
-		if d := l.Find(od.ID); d != nil {
-			if d.Ordinal != od.Ordinal {
-				panic(fmt.Sprintf("oal: divergent ordinal for %v: %d vs %d", od.ID, d.Ordinal, od.Ordinal))
+		d := l.FindOrdinal(od.Ordinal)
+		if d == nil || d.Kind != UpdateDesc || d.ID != od.ID {
+			if d = l.Find(od.ID); d == nil {
+				continue
 			}
-			d.Acks = d.Acks.Union(od.Acks)
-			if od.Undeliverable {
-				d.Undeliverable = true
-			}
+			panic(fmt.Sprintf("oal: divergent ordinal for %v: %d vs %d", od.ID, d.Ordinal, od.Ordinal))
+		}
+		d.Acks = d.Acks.Union(od.Acks)
+		if od.Undeliverable {
+			d.Undeliverable = true
 		}
 	}
 }
@@ -388,17 +437,20 @@ func (l *List) IsPrefixOf(longer *List) bool {
 }
 
 // TruncateStable removes the longest prefix of descriptors for which
-// stable reports true. It returns the removed descriptors. Deciders call
-// this to keep decision messages bounded; the predicate typically checks
-// "acknowledged by all members and delivered everywhere" or
-// "undeliverable mark reached the head" (§4.3).
+// stable reports true. It returns the removed descriptors, which share
+// memory with the list as it was: read them before appending to anything
+// older. Deciders call this to keep decision messages bounded; the
+// predicate typically checks "acknowledged by all members and delivered
+// everywhere" or "undeliverable mark reached the head" (§4.3). The head
+// is cut off, not shifted out, so the cost is the removed prefix, not the
+// list.
 func (l *List) TruncateStable(stable func(*Descriptor) bool) []Descriptor {
 	cut := 0
 	for cut < len(l.Entries) && stable(&l.Entries[cut]) {
 		cut++
 	}
-	removed := slices.Clone(l.Entries[:cut])
-	l.Entries = slices.Delete(l.Entries, 0, cut)
+	removed := l.Entries[:cut:cut]
+	l.Entries = l.Entries[cut:]
 	return removed
 }
 

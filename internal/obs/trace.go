@@ -17,7 +17,9 @@ const (
 	EvViewInstall
 	// EvDeciderStart marks assuming the decider role.
 	EvDeciderStart
-	// EvDeciderEnd: A=1 when the tenure produced a decision.
+	// EvDeciderEnd: A=1 when the tenure produced a decision, B=1 when
+	// that decision was sent early (proposals were waiting) and 0 when
+	// the role was held for the idle hold first.
 	EvDeciderEnd
 	// EvElectionStart: A=the state entered (1-failure or n-failure).
 	EvElectionStart

@@ -50,3 +50,25 @@ func TestSurvivalAssumptionFallback(t *testing.T) {
 		t.Fatalf("full group not re-formed")
 	}
 }
+
+// TestStalledElectionSeeds pins two schedules that wedge or overrun when
+// decision timing shifts (as it does once deciders stop waiting out their
+// hold with work pending): seed 313 left p2 parked in 1-failure-send on a
+// stale group with no armed expectation, forever — the same class as the
+// two-member wedge — and seed 373 re-formed only just after the deadline.
+// Every single-failure election state now has an exit armed (see
+// member.Machine.inSingleElection); both must end with the full group.
+func TestStalledElectionSeeds(t *testing.T) {
+	for _, seed := range []int64{313, 373} {
+		r := Chaos(DefaultChaos(5, seed))
+		if r.Failed != "" {
+			t.Fatalf("seed %d: %s", seed, r.Failed)
+		}
+		if res := check.All(r.Cluster); !res.OK() {
+			t.Fatalf("seed %d: invariants: %s", seed, res)
+		}
+		if !agreedOn(r.Cluster, allIDs(5)) {
+			t.Fatalf("seed %d: full group not re-formed", seed)
+		}
+	}
+}

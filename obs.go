@@ -153,6 +153,7 @@ var mirrorNames = []string{
 	"timewheel_member_reconfigs_sent_total",
 	"timewheel_member_joins_sent_total",
 	"timewheel_member_decisions_sent_total",
+	"timewheel_decisions_early_total",
 	"timewheel_member_admissions_total",
 	"timewheel_member_self_exclusions_total",
 	"timewheel_surveil_suspicions_total",
@@ -490,8 +491,9 @@ func (o *nodeObs) onViewChange(g model.Group) {
 	o.emit(obs.EvViewInstall, int64(g.Seq), int64(len(g.Members)))
 }
 
-// onDecider is the member.Hooks.Decider tap (event goroutine).
-func (o *nodeObs) onDecider(isDecider, sent bool) {
+// onDecider is the member.Hooks.Decider tap (event goroutine). early
+// says the tenure's decision went out without waiting for the idle hold.
+func (o *nodeObs) onDecider(isDecider, sent, early bool) {
 	if isDecider {
 		o.tenureStart = time.Now()
 		o.emit(obs.EvDeciderStart, 0, 0)
@@ -501,11 +503,14 @@ func (o *nodeObs) onDecider(isDecider, sent bool) {
 		o.decisionLat.ObserveSince(o.tenureStart)
 	}
 	o.tenureStart = time.Time{}
-	var a int64
+	var a, b int64
 	if sent {
 		a = 1
 	}
-	o.emit(obs.EvDeciderEnd, a, 0)
+	if early {
+		b = 1
+	}
+	o.emit(obs.EvDeciderEnd, a, b)
 }
 
 // onSuspicion is the member.Hooks.Suspicion tap (event goroutine).
@@ -546,7 +551,7 @@ func (n *Node) refreshMirror(timeout time.Duration) {
 		b := n.bc.Stats()
 		vals := []uint64{
 			m.ViewChanges, m.SingleElections, m.ReconfigElections, m.WrongSuspicions,
-			m.NDsSent, m.ReconfigsSent, m.JoinsSent, m.DecisionsSent,
+			m.NDsSent, m.ReconfigsSent, m.JoinsSent, m.DecisionsSent, m.DecisionsEarly,
 			m.Admissions, m.SelfExclusions,
 			m.SuspicionsGossiped, m.RefutesSent, m.GossipRelays,
 			m.GossipDuplicates, m.StaleSuspicions,

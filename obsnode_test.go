@@ -391,3 +391,76 @@ func TestObsEventsFollowSSE(t *testing.T) {
 		}
 	}
 }
+
+// "Where did this proposal's time go": a decision sent with proposals
+// waiting is counted in timewheel_decisions_early_total (next to the
+// decisions-sent counter, in Metrics and on /metrics), and the
+// decider-end trace event of that tenure carries the early bit.
+func TestEarlyDecisionsAreCountedAndTraced(t *testing.T) {
+	var mu sync.Mutex
+	var earlyEnds, heldEnds int
+	cancel := Observe(func(ev TraceEvent) {
+		if ev.Type == "decider-end" && ev.A == 1 {
+			mu.Lock()
+			if ev.B == 1 {
+				earlyEnds++
+			} else {
+				heldEnds++
+			}
+			mu.Unlock()
+		}
+	})
+	defer cancel()
+
+	nodes, recs, stop := startCluster(t, 3)
+	defer stop()
+	// A process's first proposal carries a clock-seeded sequence and waits
+	// for a held decision to jump the gap; the ones after it continue an
+	// ordered sequence and are decided on at once.
+	// A proposal can be lost to a view change on a noisy host (the test
+	// parameters give a member 6 ms to be heard): keep proposing until
+	// enough have been delivered.
+	const deliveries = 6
+	proposed := 0
+	deadline := time.Now().Add(20 * time.Second)
+	for recs[0].deliveryCount() < deliveries {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d proposals delivered", recs[0].deliveryCount(), proposed)
+		}
+		have := recs[0].deliveryCount()
+		if nodes[0].Propose([]byte{byte('a' + proposed%26)}, TotalOrder, Strong) == nil {
+			proposed++
+		}
+		for wait := time.Now().Add(300 * time.Millisecond); recs[0].deliveryCount() == have && time.Now().Before(wait); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	var early, sent uint64
+	for _, n := range nodes {
+		m := n.Metrics()
+		if m.DecisionsEarly > m.DecisionsSent {
+			t.Fatalf("more early decisions than decisions: %+v", m)
+		}
+		early, sent = early+m.DecisionsEarly, sent+m.DecisionsSent
+	}
+	if early == 0 || early > uint64(proposed) {
+		t.Fatalf("%d early decisions (of %d sent) for %d proposals: want 1..%d", early, sent, proposed, proposed)
+	}
+	var scraped uint64
+	for _, n := range nodes {
+		n.refreshMirror(time.Second)
+		v, ok := n.CounterValue("timewheel_decisions_early_total")
+		if !ok {
+			t.Fatal("timewheel_decisions_early_total is not a metric family")
+		}
+		scraped += v
+	}
+	if scraped < early {
+		t.Fatalf("/metrics shows %d early decisions, Metrics() %d", scraped, early)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if earlyEnds == 0 || heldEnds == 0 {
+		t.Fatalf("decider-end events: %d early, %d held; want both kinds", earlyEnds, heldEnds)
+	}
+}

@@ -474,8 +474,8 @@ type Node struct {
 	// mode (event-loop confined, cleared by flushSends).
 	flushUrgent bool
 	flushTimer  *time.Timer
-	sendErrs   atomic.Uint64
-	trSendErrs func() uint64
+	sendErrs    atomic.Uint64
+	trSendErrs  func() uint64
 
 	mu      sync.Mutex
 	timers  map[member.TimerID]*time.Timer
@@ -483,10 +483,11 @@ type Node struct {
 
 	// histMu guards the membership history the live invariant checks
 	// consume (written from the event goroutine, read from anywhere).
-	histMu      sync.Mutex
-	views       []ViewEvent
-	tenures     []DeciderTenure
-	deciderSent uint64 // DecisionsSent at tenure start, for Sent marking
+	histMu       sync.Mutex
+	views        []ViewEvent
+	tenures      []DeciderTenure
+	deciderSent  uint64 // DecisionsSent at tenure start, for Sent marking
+	deciderEarly uint64 // DecisionsEarly at tenure start, for the trace event's early bit
 }
 
 // ViewEvent is one view installation in the node's recorded history,
@@ -760,18 +761,19 @@ func NewNode(cfg Config) (*Node, error) {
 			},
 			Decider: func(isDecider bool, _ model.Time) {
 				at := time.Now()
-				sent := false
+				sent, early := false, false
+				ms := n.machine.Stats()
 				n.histMu.Lock()
 				if isDecider {
 					n.tenures = append(n.tenures, DeciderTenure{Start: at})
-					n.deciderSent = n.machine.Stats().DecisionsSent
+					n.deciderSent, n.deciderEarly = ms.DecisionsSent, ms.DecisionsEarly
 				} else if k := len(n.tenures) - 1; k >= 0 && n.tenures[k].End.IsZero() {
 					n.tenures[k].End = at
-					sent = n.machine.Stats().DecisionsSent > n.deciderSent
+					sent, early = ms.DecisionsSent > n.deciderSent, ms.DecisionsEarly > n.deciderEarly
 					n.tenures[k].Sent = sent
 				}
 				n.histMu.Unlock()
-				n.obs.onDecider(isDecider, sent)
+				n.obs.onDecider(isDecider, sent, early)
 			},
 			WireEvent: func(dir member.WireDir, kind wire.Kind, peer model.ProcessID, ctx wire.Causal, _ model.Time) {
 				n.obs.onWireEvent(dir, kind, peer, ctx)
@@ -1258,6 +1260,7 @@ type Metrics struct {
 	ReconfigsSent     uint64
 	JoinsSent         uint64
 	DecisionsSent     uint64
+	DecisionsEarly    uint64 // of DecisionsSent: sent with proposals waiting, without the idle hold
 	Admissions        uint64
 	SelfExclusions    uint64
 	// Broadcast-layer counters.
@@ -1288,6 +1291,7 @@ func (n *Node) Metrics() Metrics {
 			ReconfigsSent:     ms.ReconfigsSent,
 			JoinsSent:         ms.JoinsSent,
 			DecisionsSent:     ms.DecisionsSent,
+			DecisionsEarly:    ms.DecisionsEarly,
 			Admissions:        ms.Admissions,
 			SelfExclusions:    ms.SelfExclusions,
 			Proposed:          bs.Proposed,
