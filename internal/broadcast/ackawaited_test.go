@@ -1,0 +1,111 @@
+package broadcast
+
+import (
+	"slices"
+	"testing"
+
+	"timewheel/internal/model"
+	"timewheel/internal/oal"
+)
+
+// AckAwaited is true exactly while a decision sent now would publish an
+// own ack a Strong or Strict delivery still waits on: never for Weak,
+// purged or membership entries, never once the published acks suffice,
+// and never right after BuildDecision published them.
+func TestAckAwaitedIsExact(t *testing.T) {
+	h := newHarness(t, 0, 1, 2, 3, 4) // strong needs 3 acks, strict 5
+	awaited := func() (out []model.ProcessID) {
+		for _, id := range h.group.Members {
+			if h.members[id].AckAwaited() {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	if got := awaited(); len(got) != 0 {
+		t.Fatalf("idle group awaits acks at %v", got)
+	}
+
+	// Weak updates wait on no ack.
+	h.propose(1, "weak", sem(oal.TotalOrder, oal.WeakAtomicity))
+	h.decide(0)
+	if got := awaited(); len(got) != 0 {
+		t.Fatalf("a weak update awaits acks at %v", got)
+	}
+
+	// A strong update ordered by p0 carries p0's ack; every other member
+	// stamps its own on adoption and awaits it until three are published.
+	strong := h.propose(1, "strong", sem(oal.TotalOrder, oal.StrongAtomicity))
+	h.decide(0)
+	if got := awaited(); !slices.Equal(got, []model.ProcessID{1, 2, 3, 4}) {
+		t.Fatalf("after the ordering decision: awaited at %v, want p1..p4", got)
+	}
+	h.decide(1)
+	if h.members[1].AckAwaited() {
+		t.Fatalf("AckAwaited right after BuildDecision")
+	}
+	if got := awaited(); !slices.Equal(got, []model.ProcessID{2, 3, 4}) {
+		t.Fatalf("after one ack-only decision: awaited at %v, want p2..p4", got)
+	}
+	h.decide(2)
+	if got := awaited(); len(got) != 0 {
+		t.Fatalf("three acks published, still awaited at %v", got)
+	}
+	for _, id := range h.group.Members {
+		if !h.members[id].Delivered(strong.ID) {
+			t.Fatalf("p%d has not delivered the strong update", id)
+		}
+	}
+
+	// Strict waits for all five.
+	h.propose(1, "strict", sem(oal.TotalOrder, oal.StrictAtomicity))
+	h.decide(3)
+	for i, who := range []model.ProcessID{4, 0, 1} {
+		h.decide(who)
+		if got := awaited(); len(got) != 3-i {
+			t.Fatalf("strict after %d ack-only decisions: awaited at %v", i+1, got)
+		}
+	}
+	h.decide(2)
+	if got := awaited(); len(got) != 0 {
+		t.Fatalf("strict fully acknowledged, still awaited at %v", got)
+	}
+
+	// Purged updates and membership entries never count, whatever their
+	// local ack state says.
+	b := h.members[4]
+	h.propose(1, "purged", sem(oal.TotalOrder, oal.StrongAtomicity))
+	h.decide(3)
+	if !b.AckAwaited() {
+		t.Fatalf("setup: p4 should await its ack")
+	}
+	d := &b.view.Entries[len(b.view.Entries)-1]
+	d.Undeliverable = true
+	if b.AckAwaited() {
+		t.Fatalf("a purged update awaits an ack")
+	}
+	d.Undeliverable, d.Kind = false, oal.MembershipDesc
+	if b.AckAwaited() {
+		t.Fatalf("a membership descriptor awaits an ack")
+	}
+}
+
+// The ordering grid is measured from the latest decision that assigned
+// an ordinal, sent or adopted: ack-only decisions leave it alone.
+func TestLastOrderingTS(t *testing.T) {
+	h := newHarness(t, 0, 1, 2, 3, 4)
+	h.propose(1, "ordered", sem(oal.TotalOrder, oal.WeakAtomicity))
+	ordering := h.decide(0)
+	for _, id := range h.group.Members {
+		if got := h.members[id].LastOrderingTS(); got != ordering.SendTS {
+			t.Fatalf("p%d: LastOrderingTS %v, want the ordering decision's %v", id, got, ordering.SendTS)
+		}
+	}
+	ackOnly := h.decide(1)
+	for _, id := range h.group.Members {
+		m := h.members[id]
+		if m.LastOrderingTS() != ordering.SendTS || m.LastDecisionTS() != ackOnly.SendTS {
+			t.Fatalf("p%d after a decision that ordered nothing: ordering %v decision %v", id, m.LastOrderingTS(), m.LastDecisionTS())
+		}
+	}
+}

@@ -141,6 +141,12 @@ type Broadcast struct {
 	meta      []entryMeta
 	ordOf     map[oal.ProposalID]oal.Ordinal
 	lastDecTS model.Time
+	// lastOrdTS is the send timestamp of the freshest decision sent or
+	// adopted here that assigned an ordinal; decNext is the view's next
+	// ordinal as of the freshest decision, which is how the next one
+	// tells whether it assigned any.
+	lastOrdTS model.Time
+	decNext   oal.Ordinal
 
 	// baseRing records the freshest few decisions built or adopted here,
 	// oldest first — the cluster-shared baselines delta-encoded decisions
@@ -368,6 +374,19 @@ func (b *Broadcast) SetGroup(g model.Group) {
 // process has seen (or sent).
 func (b *Broadcast) LastDecisionTS() model.Time { return b.lastDecTS }
 
+// LastOrderingTS returns the send timestamp of the freshest decision this
+// process has seen (or sent) that assigned an ordinal.
+func (b *Broadcast) LastOrderingTS() model.Time { return b.lastOrdTS }
+
+// noteDecided is called with the send timestamp of each decision built or
+// adopted here: it is the freshest ordering decision when the view now
+// holds an ordinal the previous decision's did not.
+func (b *Broadcast) noteDecided(ts model.Time) {
+	if b.view.Next != b.decNext {
+		b.lastOrdTS, b.decNext = ts, b.view.Next
+	}
+}
+
 // Stats returns a copy of the layer's counters.
 func (b *Broadcast) Stats() Stats { return b.stats }
 
@@ -421,6 +440,30 @@ func (b *Broadcast) compactDPD() {
 		out = append(out, id)
 	}
 	b.dpd = out
+}
+
+// dropOrderedDPD drops the dpd entries, and their bodies, that a
+// join-time transfer shows the group has ordered already: ones below the
+// transferred ordering cursors the view does not hold. A joiner delivers
+// weak/unordered updates on receipt while it waits for admission, and
+// the group may order and truncate such an update before the transfer
+// arrives. Its history then covers the update (delivered everywhere, or
+// abandoned as stale), so reporting it as delivered-but-unordered at the
+// next election would have the decider order it a second time — and
+// every member whose delivered mark went with the truncation would
+// deliver it again.
+func (b *Broadcast) dropOrderedDPD() {
+	b.compactDPD()
+	keep := b.dpd[:0]
+	for _, id := range b.dpd {
+		if id.Seq <= b.orderedSeq[id.Proposer] {
+			delete(b.pend, id)
+			delete(b.pb, id)
+			continue
+		}
+		keep = append(keep, id)
+	}
+	b.dpd = keep
 }
 
 // Propose creates, registers and returns a proposal for payload with the
@@ -549,9 +592,10 @@ func (b *Broadcast) AdoptDecision(now model.Time, dec *wire.Decision) (adopted b
 	if dec.SendTS <= b.lastDecTS {
 		return false, nil
 	}
-	if dec.OAL.Next < b.view.Next {
+	if dec.OAL.Next < b.view.Next && dec.Lineage <= b.lineage {
 		// The decision's log is shorter than ours: adopting it would
-		// regress ordinals. Only a stale decider produces this.
+		// regress ordinals. Only a stale decider produces this. (A newer
+		// lineage restarted the ordinal space: its length is no measure.)
 		return false, nil
 	}
 	advanced := false
@@ -585,6 +629,7 @@ func (b *Broadcast) AdoptDecision(now model.Time, dec *wire.Decision) (adopted b
 	if advanced {
 		b.dropStalePending()
 	}
+	b.noteDecided(dec.SendTS)
 	b.syncSettledTimeTS()
 	b.compactDPD()
 	b.pushBaseline(dec.SendTS)

@@ -695,3 +695,36 @@ func TestDeliveredMarksStayBounded(t *testing.T) {
 		}
 	}
 }
+
+// A group formation restarts the ordinal space, so a decision of a newer
+// lineage is adopted however short its log: a joiner holding a longer
+// view of a dead lineage would otherwise refuse every decision of the
+// group it is joining until that group's log outgrew its stale one.
+// Within a lineage, and from an older one, a shorter log stays stale.
+func TestAdoptsShorterDecisionOfNewerLineage(t *testing.T) {
+	params := model.DefaultParams(3)
+	g := model.NewGroup(10, []model.ProcessID{0, 1, 2})
+	decider := func(self model.ProcessID, lineage model.GroupSeq, updates int, at model.Time) *wire.Decision {
+		b := New(self, params, Config{})
+		b.BeginLineage(lineage)
+		b.AnnounceGroup(at, g)
+		for i := 0; i < updates; i++ {
+			b.Propose(at+model.Time(i+1), []byte("u"), sem(oal.TotalOrder, oal.WeakAtomicity))
+		}
+		dec, _ := b.BuildDecision(at+100, g, g.Members)
+		return dec
+	}
+	joiner := New(0, params, Config{})
+	if ok, _ := joiner.AdoptDecision(1000, decider(1, 10, 5, 500)); !ok || joiner.HighestOrdinal() != 6 {
+		t.Fatalf("setup: old lineage not adopted (highest %d)", joiner.HighestOrdinal())
+	}
+	if ok, _ := joiner.AdoptDecision(2000, decider(2, 5, 0, 1500)); ok {
+		t.Fatalf("adopted a shorter decision of an older lineage")
+	}
+	if ok, _ := joiner.AdoptDecision(2000, decider(2, 10, 0, 1500)); ok {
+		t.Fatalf("adopted a shorter decision of the same lineage")
+	}
+	if ok, _ := joiner.AdoptDecision(3000, decider(2, 20, 0, 2500)); !ok || joiner.Lineage() != 20 || joiner.HighestOrdinal() != 1 {
+		t.Fatalf("newer lineage's formation decision not adopted: lineage %d highest %d", joiner.Lineage(), joiner.HighestOrdinal())
+	}
+}

@@ -55,6 +55,7 @@ func (b *Broadcast) BuildDecision(now model.Time, group model.Group, alive []mod
 	b.advanceStability(now, ts)
 	b.truncateStable(now)
 	b.lastDecTS = ts
+	b.noteDecided(ts)
 	b.syncSettledTimeTS()
 	dec := &wire.Decision{
 		Header:  wire.Header{From: b.self, SendTS: ts},
@@ -86,6 +87,43 @@ func (b *Broadcast) BuildDecision(now model.Time, group model.Group, alive []mod
 func (b *Broadcast) Orderable(now model.Time) bool {
 	for id := range b.pend {
 		if id.Seq == b.orderedSeq[id.Proposer]+1 && !b.senderSuppressed(id.Proposer, now) {
+			return true
+		}
+	}
+	return false
+}
+
+// AckAwaited reports whether a decision built now would publish an
+// acknowledgement that a delivery still waits on: this process holds an
+// own ack no decision has carried yet on a retained, unpurged Strong or
+// Strict update whose published acknowledgements — all of them but this
+// process's own — fall short of what its atomicity needs. Like
+// Orderable it is exact: each decision it brings forward publishes at
+// least one of those bits, and BuildDecision leaves none unpublished,
+// so a decider acting on it cannot spin.
+func (b *Broadcast) AckAwaited() bool {
+	needs := b.ackNeeds()
+	for _, ord := range b.ownAcked {
+		i := b.view.Search(ord)
+		if i == len(b.view.Entries) || b.view.Entries[i].Ordinal != ord || !b.meta[i].ownAck {
+			continue
+		}
+		d := &b.view.Entries[i]
+		if d.Kind != oal.UpdateDesc || d.Undeliverable {
+			continue
+		}
+		var k int
+		switch d.Sem.Atomicity {
+		case oal.StrongAtomicity:
+			k = ackMajority
+		case oal.StrictAtomicity:
+			k = ackAll
+		default:
+			continue
+		}
+		published := d.Acks
+		published.Remove(b.self)
+		if published.CountMask(b.groupMask) < needs[k] {
 			return true
 		}
 	}
@@ -401,13 +439,20 @@ func (b *Broadcast) Reconcile(now model.Time, newGroup model.Group, departed []m
 }
 
 // markUndeliverable applies the four §4.3 categories until nothing
-// changes, then purges marked bodies locally.
+// changes, then purges marked bodies locally. The two orphan categories
+// follow purges made by this reconciliation only. An update purged
+// earlier was skipped by every member's FIFO and dependency checks from
+// the moment its mark went out (deliverOrderedPass, atomicityOK), so
+// members may already have delivered its successors and dependants;
+// orphaning those now would purge what current members delivered.
 func (b *Broadcast) markUndeliverable(now model.Time, newGroup model.Group, departed []model.ProcessID) {
 	dep := model.NewProcessSet(departed...)
 	known := b.view.HighestOrdinal()
+	var purged []*oal.Descriptor // marked by this call
 	mark := func(d *oal.Descriptor) {
 		d.Undeliverable = true
 		d.StableTS = now
+		purged = append(purged, d)
 	}
 	for changed := true; changed; {
 		changed = false
@@ -423,13 +468,15 @@ func (b *Broadcast) markUndeliverable(now model.Time, newGroup model.Group, depa
 				mark(d)
 				changed = true
 			case (d.Sem.Order == oal.TotalOrder || d.Sem.Order == oal.TimeOrder) &&
-				b.hasUndeliverablePredecessor(d):
-				// Orphan-order: an earlier update by the same sender
-				// was purged, so FIFO forbids delivering this one.
+				slices.ContainsFunc(purged, func(e *oal.Descriptor) bool {
+					return e.Ordinal < d.Ordinal && e.ID.Proposer == d.ID.Proposer
+				}):
+				// Orphan-order: an earlier update by the same sender was
+				// purged, so FIFO forbids delivering this one.
 				mark(d)
 				changed = true
 			case (d.Sem.Atomicity == oal.StrongAtomicity || d.Sem.Atomicity == oal.StrictAtomicity) &&
-				b.hasUndeliverableDependency(d):
+				slices.ContainsFunc(purged, func(e *oal.Descriptor) bool { return e.Ordinal <= d.HDO }):
 				// Orphan-atomicity: a dependency (ordinal <= hdo) was
 				// purged.
 				mark(d)
@@ -449,32 +496,6 @@ func (b *Broadcast) markUndeliverable(now model.Time, newGroup model.Group, depa
 			b.dropBody(d.ID)
 		}
 	}
-}
-
-func (b *Broadcast) hasUndeliverablePredecessor(d *oal.Descriptor) bool {
-	for i := range b.view.Entries {
-		e := &b.view.Entries[i]
-		if e.Ordinal >= d.Ordinal {
-			return false
-		}
-		if e.Kind == oal.UpdateDesc && e.Undeliverable && e.ID.Proposer == d.ID.Proposer {
-			return true
-		}
-	}
-	return false
-}
-
-func (b *Broadcast) hasUndeliverableDependency(d *oal.Descriptor) bool {
-	for i := range b.view.Entries {
-		e := &b.view.Entries[i]
-		if e.Ordinal > d.HDO {
-			return false
-		}
-		if e.Kind == oal.UpdateDesc && e.Undeliverable {
-			return true
-		}
-	}
-	return false
 }
 
 // BuildState assembles the join-time state transfer for a newly admitted
@@ -595,6 +616,7 @@ func (b *Broadcast) ApplyState(now model.Time, st *wire.State) {
 			b.nextSeq = f.Seq
 		}
 	}
+	b.dropOrderedDPD()
 	if !st.NoAppState {
 		// Install last, after the coverage and delivered-set bookkeeping:
 		// a durable node snapshots from inside its install hook, and the

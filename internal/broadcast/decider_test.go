@@ -431,3 +431,69 @@ func TestDecisionOrdersABoundedBatch(t *testing.T) {
 		}
 	}
 }
+
+// An update purged by an earlier view change is skipped by every
+// member's dependency and FIFO checks from then on, so members may
+// deliver what depends on it or follows it. A later reconciliation must
+// not orphan those: only purges it makes itself can.
+func TestReconcileKeepsDependantsOfEarlierPurge(t *testing.T) {
+	h := newHarness(t, 0, 1, 2, 3, 4)
+	// Ordinal 1: p4's update, whose body never left p4; p4 then departs
+	// and the first election purges it as lost.
+	h.members[4].Propose(h.tick(), []byte("lost"), sem(oal.TotalOrder, oal.StrongAtomicity))
+	dec, _ := h.members[4].BuildDecision(h.tick(), h.group, h.group.Members)
+	h.adopt(dec)
+	h.electAt(0, 4)
+	// A strong update by p1 whose hdo covers the purged ordinal 1; its body
+	// reaches everyone but p3.
+	u := h.propose(1, "after-purge", sem(oal.TotalOrder, oal.StrongAtomicity), 3)
+	if u.HDO < 1 {
+		t.Fatalf("setup: hdo %d does not cover the purged ordinal", u.HDO)
+	}
+	h.decide(0)
+	h.decide(1)
+	h.decide(2)
+	for _, id := range []model.ProcessID{0, 1, 2} {
+		if !h.members[id].Delivered(u.ID) {
+			t.Fatalf("setup: p%d did not deliver the update", id)
+		}
+	}
+	// p3, which never held the body, wins the next election.
+	h.electAt(3)
+	for _, id := range h.group.Members {
+		if d := h.members[id].CurrentView().Find(u.ID); d == nil || d.Undeliverable {
+			t.Fatalf("p%d: a delivered update was orphaned by an earlier purge: %v", id, d)
+		}
+	}
+}
+
+// A joiner delivers weak/unordered updates on receipt while it waits for
+// admission. When the group orders (and truncates) one before the state
+// transfer arrives, the transfer covers it: the joiner must stop listing
+// it as delivered-but-unordered, or the next election orders it again
+// and every member whose delivered mark went with the truncation
+// delivers it twice.
+func TestStateTransferDropsOrderedDPD(t *testing.T) {
+	params := model.DefaultParams(3)
+	g := model.NewGroup(0, []model.ProcessID{0, 1, 2})
+	proposer := New(2, params, Config{})
+	proposer.SetGroup(g)
+	ordered := proposer.Propose(100, []byte("ordered"), sem(oal.Unordered, oal.WeakAtomicity))
+	later := proposer.Propose(110, []byte("later"), sem(oal.Unordered, oal.WeakAtomicity))
+
+	server := New(0, params, Config{})
+	server.SetGroup(g)
+	server.OnProposal(120, ordered)
+	server.BuildDecision(200, g, g.Members)
+
+	joiner := New(1, params, Config{})
+	joiner.OnProposal(130, ordered)
+	joiner.OnProposal(140, later)
+	if dpd := joiner.DPD(); len(dpd) != 2 {
+		t.Fatalf("setup: joiner dpd %v", dpd)
+	}
+	joiner.ApplyState(300, server.BuildState(300, 0, 0))
+	if dpd := joiner.DPD(); len(dpd) != 1 || dpd[0] != later.ID {
+		t.Fatalf("dpd after the transfer: %v, want only %v", dpd, later.ID)
+	}
+}

@@ -170,6 +170,67 @@ func TestProposalArrivalEndsTheHold(t *testing.T) {
 	}
 }
 
+// A decider holding an own ack a Strong delivery still waits on decides
+// in the next slot after the latest decision, ordering nothing: an
+// ack-only decision. It carries the ack, and the role moves on.
+func TestAwaitedAckDecidesInNextSlot(t *testing.T) {
+	for _, inSlot := range []bool{true, false} {
+		r := newRig(t, 2)
+		r.join(0) // p1 is next; p2 watches
+		r.m.OnMessage(r.proposalFrom(3, 1))
+		r.env.now += 100
+		dec := r.decisionFrom(1, r.m.Group())
+		var acks oal.AckSet
+		acks.Add(1)
+		id := oal.ProposalID{Proposer: 3, Seq: 1}
+		dec.OAL.AppendUpdate(id, totalStrong, r.env.now-100, 0, acks)
+		if inSlot {
+			r.env.now = r.env.now.Add(r.slot())
+		}
+		r.m.OnMessage(dec) // p2 adopts, stamps its ack and takes the role
+		if !inSlot {
+			if !r.bc.AckAwaited() || r.bc.Orderable(r.env.now) {
+				t.Fatalf("setup: awaited=%v orderable=%v", r.bc.AckAwaited(), r.bc.Orderable(r.env.now))
+			}
+			q := model.Time(r.slot())
+			if r.decisionsSent() != 0 || r.env.timers[TimerDecide] != dec.SendTS-dec.SendTS%q+q {
+				t.Fatalf("decisions=%d timer=%d, want the slot edge after %d", r.decisionsSent(), r.env.timers[TimerDecide], dec.SendTS)
+			}
+			r.fireDecide()
+		}
+		st := r.m.Stats()
+		if r.decisionsSent() != 1 || st.DecisionsEarly != 1 || st.DecisionsAckOnly != 1 || r.m.IsDecider() {
+			t.Fatalf("inSlot=%v: decisions=%d stats=%+v decider=%v", inSlot, r.decisionsSent(), st, r.m.IsDecider())
+		}
+		sent := r.env.lastSent().(*wire.Decision)
+		if d := sent.OAL.Find(id); d == nil || !d.Acks.Has(2) || sent.OAL.Next != dec.OAL.Next {
+			t.Fatalf("ack-only decision: %v", sent.OAL.Entries)
+		}
+		if r.bc.AckAwaited() {
+			t.Fatalf("ack still awaited after the decision that carried it")
+		}
+	}
+}
+
+// Ordering decisions keep a slot grid of their own, measured from the
+// latest decision that assigned an ordinal: a decision that ordered
+// nothing does not push an arriving proposal to a later slot edge.
+func TestAckOnlyDecisionsKeepTheOrderingGrid(t *testing.T) {
+	r := newRig(t, 2)
+	r.join(0) // its decision orders the group's membership descriptor
+	ordering := r.bc.LastOrderingTS()
+	r.env.now = r.env.now.Add(r.slot())
+	r.m.OnMessage(r.decisionFrom(1, r.m.Group())) // orders nothing; p2 takes the role
+	if r.bc.LastOrderingTS() != ordering || r.bc.LastDecisionTS() == ordering {
+		t.Fatalf("setup: ordering %v decision %v", r.bc.LastOrderingTS(), r.bc.LastDecisionTS())
+	}
+	r.env.now += 10
+	r.m.OnMessage(r.proposalFrom(4, 1))
+	if r.decisionsSent() != 1 || r.m.Stats().DecisionsEarly != 1 || r.m.Stats().DecisionsAckOnly != 0 {
+		t.Fatalf("the ordering slot after %v has begun: decisions=%d stats=%+v", ordering, r.decisionsSent(), r.m.Stats())
+	}
+}
+
 // Early decisions belong to failure-free operation only: a decider-less
 // process, a singleton group and every election state keep their timing.
 func TestNoEarlyDecisionOutsideFailureFree(t *testing.T) {

@@ -159,6 +159,10 @@ func (m *Machine) tryFormInitialGroup() {
 	// Formation restarts the ordinal space: announce the new lineage so
 	// every decision carries it and stale recovered coverage is dropped.
 	m.bc.BeginLineage(group.Seq)
+	// This process's application state is the new lineage's base: no
+	// transfer is coming to end a deferral resetForJoin began, so hand-off
+	// resumes here, as it does at a co-former (joinCompleted).
+	m.bc.DeferDeliveries(false)
 	m.bc.AnnounceGroup(now, group)
 	m.installGroup(group)
 	m.setState(StateFailureFree)

@@ -138,10 +138,10 @@ type Hooks struct {
 
 // Config tunes the machine.
 type Config struct {
-	// DeciderHold is how long a process with nothing to order holds the
-	// decider role before sending its decision (the idle cadence; with
-	// proposals waiting it decides in the next early-decision slot, see
-	// decideIfOrderable). Must be well under D; defaults to D/2.
+	// DeciderHold is how long a process with nothing to order and no
+	// awaited ack holds the decider role before sending its decision (the
+	// idle cadence; otherwise it decides in the next early-decision slot,
+	// see decideIfOrderable). Must be well under D; defaults to D/2.
 	DeciderHold model.Duration
 	// DisableFastPath skips the single-failure no-decision election and
 	// escalates every timeout straight to the time-slotted
@@ -292,7 +292,8 @@ type Stats struct {
 	ReconfigsSent     uint64
 	JoinsSent         uint64
 	DecisionsSent     uint64
-	DecisionsEarly    uint64 // of DecisionsSent: sent without waiting out the idle hold
+	DecisionsEarly    uint64 // of DecisionsSent: sent early, to order a proposal or publish an awaited ack
+	DecisionsAckOnly  uint64 // of DecisionsEarly: sent early only to publish an awaited ack
 	Admissions        uint64
 	SelfExclusions    uint64 // guard-triggered drops to the join state
 	OALReqsSent       uint64 // full-oal baseline requests sent

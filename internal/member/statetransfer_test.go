@@ -166,3 +166,36 @@ func TestFormationAdoptionNeedsNoStateTransfer(t *testing.T) {
 		t.Fatalf("formation member begged for a state transfer")
 	}
 }
+
+// A process that fell back to the join state (an exclusion, or the
+// n-failure fallback) defers deliveries until a state transfer re-bases
+// it. When it forms the next group itself, its application state is the
+// new lineage's base and no transfer is coming: hand-off must resume at
+// formation. It used to stay deferred, holding every later update with
+// all its acks undelivered until truncation dropped it.
+func TestFormerAfterResetResumesDeliveries(t *testing.T) {
+	p := model.DefaultParams(5)
+	env := newFakeEnv()
+	delivered := 0
+	bc := broadcast.New(0, p, broadcast.Config{OnDeliver: func(broadcast.Delivery) { delivered++ }})
+	r := &rig{t: t, env: env, m: New(0, p, Config{}, env, bc), bc: bc, p: p}
+	r.join(1)
+	r.m.resetForJoin()
+	for _, q := range []model.ProcessID{1, 2} {
+		r.m.OnMessage(&wire.Join{
+			Header:   wire.Header{From: q, SendTS: env.now},
+			JoinList: []model.ProcessID{0, 1, 2},
+			Forming:  true,
+		})
+	}
+	r.m.tryFormInitialGroup()
+	if r.m.State() != StateFailureFree || !r.m.Group().Contains(0) || r.m.Group().Size() != 3 {
+		t.Fatalf("setup: p0 did not form the group: %v", r.m)
+	}
+	if r.m.Propose([]byte("after-formation"), oal.Semantics{Order: oal.Unordered, Atomicity: oal.WeakAtomicity}) == nil {
+		t.Fatalf("propose refused")
+	}
+	if delivered != 1 {
+		t.Fatalf("the former delivered %d of its own weak/unordered update: deliveries still deferred", delivered)
+	}
+}

@@ -187,10 +187,7 @@ func (m *Machine) OnTimer(id TimerID) {
 		m.onExpectTimeout()
 	case TimerDecide:
 		if m.isDecider {
-			if m.canOrder() {
-				m.stats.DecisionsEarly++
-			}
-			m.sendDecision()
+			m.sendRotationDecision(m.earlyKind())
 		}
 	case TimerSlot:
 		m.onOwnSlot()
@@ -779,8 +776,9 @@ func (m *Machine) onExpectTimeout() {
 
 // becomeDecider assumes the decider role. The role is held for the
 // configured idle hold and the decision goes out on TimerDecide — unless
-// proposals are waiting to be ordered, which brings the decision forward
-// to the next early-decision slot (see decideIfOrderable). baseTS is the
+// proposals are waiting to be ordered or a delivery waits on one of this
+// process's acks, which brings the decision forward to the next
+// early-decision slot (see decideIfOrderable). baseTS is the
 // send timestamp of the decision that handed us the role: peers expect
 // our control message by baseTS+2D, so when that decision arrived late (a
 // retransmission after a masked false alarm) the hold is shortened to
@@ -815,51 +813,99 @@ func (m *Machine) armDecide(at model.Time) {
 // earlySlotsPerD divides D into the slots early decisions are sent in.
 const earlySlotsPerD = 32
 
-// earlySlot is the first early-decision slot after the latest decision
-// this process sent or adopted: the next multiple of D/earlySlotsPerD on
-// the synchronized clock. Slots sit on a grid rather than a fixed
-// distance after the previous decision so that the lateness of one
-// decision's timer does not push back every decision after it.
-func (m *Machine) earlySlot() model.Time {
+// slotAfter is the first early-decision slot after the decision sent at
+// last: the next multiple of D/earlySlotsPerD on the synchronized clock.
+// Slots sit on a grid rather than a fixed distance after the previous
+// decision so that the lateness of one decision's timer does not push
+// back every decision after it.
+func (m *Machine) slotAfter(last model.Time) model.Time {
 	q := model.Time(max(m.params.D/earlySlotsPerD, 1))
-	last := m.bc.LastDecisionTS()
 	return last - last%q + q
 }
 
 // decideIfOrderable is the work-conserving half of the decider duty: the
 // paper bounds the interval before a decider sends its decision by D
-// from above only, so a decider that has something to order does not sit
-// out the idle hold. In failure-free operation of a group of at least
-// two, a decider whose decision would assign at least one ordinal sends
-// it in the next early-decision slot: at the end of the current handler
-// — the one that gave it the role or the proposal — when the slot has
-// already begun, and on TimerDecide otherwise. Slots bound the decision
-// rate under load (at most earlySlotsPerD per D, each ordering a bounded
-// batch — see broadcast.MaxOrdinalsPerDecision), so what a group orders
-// per second is set by D and not by how fast its hosts happen to run.
-// With nothing to order, and in every other state, the hold and all
-// failure-detector deadlines stay as they are. The test is exact
-// (broadcast.Orderable), so every early decision orders a proposal and
-// the role cannot spin through an idle group.
+// from above only, so a decider whose decision would do work a delivery
+// waits on does not sit out the idle hold. In failure-free operation of
+// a group of at least two, a decider sends early when its decision
+// would assign at least one ordinal (broadcast.Orderable) or publish an
+// acknowledgement a Strong or Strict delivery still waits on
+// (broadcast.AckAwaited, an ack-only decision). Acknowledgements travel
+// only in decisions, so without the second case such an update waits a
+// further rotation of held decisions for its majority or all-ack.
+//
+// Each kind has its own slot grid. An ordering decision goes in the
+// next early-decision slot after the latest decision that assigned an
+// ordinal, so at most one per slot goes out (earlySlotsPerD per D, each
+// ordering a bounded batch — see broadcast.MaxOrdinalsPerDecision) and
+// what a group orders per second is set by D and not by how fast its
+// hosts happen to run. An ack-only decision goes in the next slot after
+// the latest decision of either kind: at most one decision of each kind
+// per slot, and ack-only decisions never push an arriving proposal to a
+// later slot edge. Either is sent at the end of the current handler when
+// its slot has already begun, and on TimerDecide otherwise. With nothing
+// to order and no awaited ack — an idle group holds none — and in every
+// other state, the hold and all failure-detector deadlines stay as they
+// are. Both tests are exact, so the role cannot spin through an idle
+// group.
 func (m *Machine) decideIfOrderable() {
-	if !m.isDecider || !m.canOrder() {
+	if !m.isDecider {
 		return
 	}
-	if at := m.earlySlot(); at > m.env.Now() {
+	var at model.Time
+	kind := m.earlyKind()
+	switch kind {
+	case earlyOrdering:
+		at = m.slotAfter(m.bc.LastOrderingTS())
+	case earlyAckOnly:
+		at = m.slotAfter(m.bc.LastDecisionTS())
+	default:
+		return
+	}
+	if at > m.env.Now() {
 		if at < m.decideAt {
 			m.armDecide(at)
 		}
 		return
 	}
 	m.env.CancelTimer(TimerDecide)
-	m.stats.DecisionsEarly++
+	m.sendRotationDecision(kind)
+}
+
+// sendRotationDecision sends the failure-free rotation's decision,
+// counting it by what made it early (earlyKind), if anything.
+func (m *Machine) sendRotationDecision(kind int) {
+	switch kind {
+	case earlyOrdering:
+		m.stats.DecisionsEarly++
+	case earlyAckOnly:
+		m.stats.DecisionsEarly++
+		m.stats.DecisionsAckOnly++
+	}
 	m.sendDecision()
 }
 
-// canOrder reports whether a decision of the failure-free rotation sent
-// now would order a proposal: what makes it an early decision.
-func (m *Machine) canOrder() bool {
-	return m.state == StateFailureFree && m.group.Size() >= 2 && m.bc.Orderable(m.env.Now())
+// Kinds of decision a decider sends early, in the order earlyKind tests
+// them: an ordering decision publishes its own acks too.
+const (
+	earlyNone = iota
+	earlyOrdering
+	earlyAckOnly
+)
+
+// earlyKind reports what, if anything, makes a decision of the
+// failure-free rotation sent now an early one.
+func (m *Machine) earlyKind() int {
+	if m.state != StateFailureFree || m.group.Size() < 2 {
+		return earlyNone
+	}
+	switch {
+	case m.bc.Orderable(m.env.Now()):
+		return earlyOrdering
+	case m.bc.AckAwaited():
+		return earlyAckOnly
+	}
+	return earlyNone
 }
 
 // becomeDeciderNow assumes the decider role and sends the decision

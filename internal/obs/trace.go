@@ -17,9 +17,9 @@ const (
 	EvViewInstall
 	// EvDeciderStart marks assuming the decider role.
 	EvDeciderStart
-	// EvDeciderEnd: A=1 when the tenure produced a decision, B=1 when
-	// that decision was sent early (proposals were waiting) and 0 when
-	// the role was held for the idle hold first.
+	// EvDeciderEnd: A=1 when the tenure produced a decision; B says how
+	// that decision went out (DeciderHeld, DeciderEarlyOrdering or
+	// DeciderEarlyAckOnly).
 	EvDeciderEnd
 	// EvElectionStart: A=the state entered (1-failure or n-failure).
 	EvElectionStart
@@ -60,6 +60,13 @@ const (
 	// EvBlackbox: a flight-recorder bundle was written; A=trigger reason
 	// code.
 	EvBlackbox
+)
+
+// The B payload of EvDeciderEnd: how the tenure's decision went out.
+const (
+	DeciderHeld          = 0 // after the idle hold
+	DeciderEarlyOrdering = 1 // early, to order a proposal
+	DeciderEarlyAckOnly  = 2 // early, only to publish an awaited ack
 )
 
 func (t EventType) String() string {

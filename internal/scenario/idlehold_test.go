@@ -8,6 +8,7 @@ import (
 	"timewheel/internal/model"
 	"timewheel/internal/node"
 	"timewheel/internal/oal"
+	"timewheel/internal/wire"
 )
 
 // An idle group keeps its cadence: with nothing to order every decider
@@ -30,10 +31,13 @@ func TestIdleGroupKeepsE2DecisionCount(t *testing.T) {
 	}
 }
 
-// Under load deciders stop waiting: decisions go out early, and every
-// early decision orders at least one proposal — were the test in
-// member.decideIfOrderable not exact, the role would spin round an idle
-// ring and early decisions would outnumber the ordinals they assigned.
+// Under load deciders stop waiting: decisions go out early, and each
+// does work a delivery waits on — it orders a proposal, or it publishes
+// an ack a Strong update still needs. Per ordinal that is one ordering
+// decision plus at most need-1 ack-only ones (the ordering decider's own
+// ack is the first of the need), so early <= ordered × need. Were the
+// tests in member.decideIfOrderable not exact, the role would spin round
+// an idle ring and early decisions would outrun that bound.
 func TestEarlyDecisionsOrderWork(t *testing.T) {
 	const n = 5
 	c := node.NewCluster(node.Options{Seed: 7, Params: model.DefaultParams(n), PerfectClocks: true})
@@ -65,7 +69,62 @@ func TestEarlyDecisionsOrderWork(t *testing.T) {
 	if ordered != uint64(proposed) {
 		t.Fatalf("%d proposals, %d ordinals assigned", proposed, ordered)
 	}
-	if early == 0 || early > ordered {
-		t.Fatalf("%d early decisions (of %d) for %d ordered proposals: want 0 < early <= ordered", early, sent, ordered)
+	need := uint64(c.Params.Majority())
+	if early == 0 || early > ordered*need {
+		t.Fatalf("%d early decisions (of %d) for %d ordered proposals: want 0 < early <= ordered × %d", early, sent, ordered, need)
+	}
+}
+
+// One Strong update into an idle group of five needs three acks. The
+// decider that orders it carries its own; the next two deciders each
+// publish theirs in an ack-only decision in the next slot, instead of
+// waiting out a D/2 hold apiece. Then the group is idle again and holds
+// no unpublished ack: 50 cycles carry exactly E2's decision count.
+func TestStrongUpdateTakesOneOrderingAndTwoAckOnlyDecisions(t *testing.T) {
+	const n = 5
+	c := node.NewCluster(node.Options{Seed: 1, Params: model.DefaultParams(n), PerfectClocks: true})
+	c.Start()
+	if _, ok := runUntil(c, 10, func() bool { return agreedOn(c, allIDs(n)) }); !ok {
+		t.Fatal("initial group never formed")
+	}
+	sem := oal.Semantics{Order: oal.TotalOrder, Atomicity: oal.StrongAtomicity}
+	counts := func() (early, ackOnly uint64) {
+		for id := 0; id < n; id++ {
+			st := c.Node(model.ProcessID(id)).Machine().Stats()
+			early, ackOnly = early+st.DecisionsEarly, ackOnly+st.DecisionsAckOnly
+		}
+		return early, ackOnly
+	}
+	// A process's first proposal carries a clock-seeded sequence, a gap
+	// the held decisions jump; propose it first and let the group settle.
+	if !c.Node(1).Propose([]byte("warm-up"), sem) {
+		t.Fatal("warm-up proposal refused")
+	}
+	c.Run(cyclesDur(c, 4))
+	early0, ack0 := counts()
+	base := c.Node(0).Broadcast().HighestOrdinal()
+	if !c.Node(1).Propose([]byte("strong"), sem) {
+		t.Fatal("proposal refused")
+	}
+	c.Run(cyclesDur(c, 4))
+	early, ackOnly := counts()
+	if got := c.Node(0).Broadcast().HighestOrdinal() - base; got != 1 {
+		t.Fatalf("%d ordinals assigned for one proposal", got)
+	}
+	if early-early0 != 3 || ackOnly-ack0 != 2 {
+		t.Fatalf("one strong update: %d early decisions, %d of them ack-only; want 1 ordering + 2 ack-only", early-early0, ackOnly-ack0)
+	}
+	for id := 0; id < n; id++ {
+		if got := c.Node(model.ProcessID(id)).Broadcast().Stats().Delivered; got != 2 {
+			t.Fatalf("p%d delivered %d updates, want 2", id, got)
+		}
+	}
+	before := c.Net.Stats().Broadcasts[wire.KindDecision]
+	c.Run(cyclesDur(c, 50))
+	if got := c.Net.Stats().Broadcasts[wire.KindDecision] - before; got != 875 {
+		t.Fatalf("%d decisions in the next 50 idle cycles, E2 has 875", got)
+	}
+	if e, a := counts(); e != early || a != ackOnly {
+		t.Fatalf("idle cycles sent %d early decisions (%d ack-only)", e-early, a-ackOnly)
 	}
 }

@@ -72,3 +72,30 @@ func TestStalledElectionSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestReformationSeeds pins schedules in which a group re-formed around
+// a joiner that still held a longer view of the lineage before it. The
+// joiner refused every decision of the new lineage as a "shorter log"
+// until that log outgrew its stale one, while the group excluded and
+// readmitted it every few slots. In seeds 1218, 1273 and 1566 the full
+// group never re-formed. In seed 488 the joiner meanwhile delivered two
+// weak/unordered updates on receipt, the group ordered and truncated
+// them, and once admitted the joiner still listed them as
+// delivered-but-unordered: the next election ordered them a second time,
+// and p2 delivered both twice (§3 no-dup). A newer lineage's decision is
+// now adopted however short its log, and a state transfer drops the dpd
+// entries its ordering cursors cover.
+func TestReformationSeeds(t *testing.T) {
+	for _, seed := range []int64{488, 1218, 1273, 1566} {
+		r := Chaos(DefaultChaos(5, seed))
+		if r.Failed != "" {
+			t.Fatalf("seed %d: %s", seed, r.Failed)
+		}
+		if res := check.All(r.Cluster); !res.OK() {
+			t.Fatalf("seed %d: invariants: %s", seed, res)
+		}
+		if !agreedOn(r.Cluster, allIDs(5)) {
+			t.Fatalf("seed %d: full group not re-formed", seed)
+		}
+	}
+}

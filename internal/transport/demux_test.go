@@ -81,7 +81,7 @@ func TestDemuxMalformedCounted(t *testing.T) {
 	trunk := &stubTrunk{self: 1}
 	d := NewDemux(trunk)
 	d.Port(3).SetReceiver(func([]byte) { t.Fatal("malformed datagram delivered") })
-	trunk.recv([]byte{wire.GroupMagic, 3, 0}) // truncated header
+	trunk.recv([]byte{wire.GroupMagic, 3, 0})             // truncated header
 	trunk.recv([]byte{wire.GroupMagic, 3, 0, 0, 0, 2, 1}) // bad sub-frame walk
 	if st := d.Stats(); st.Malformed != 2 {
 		t.Fatalf("Malformed = %d, want 2", st.Malformed)

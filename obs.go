@@ -491,9 +491,10 @@ func (o *nodeObs) onViewChange(g model.Group) {
 	o.emit(obs.EvViewInstall, int64(g.Seq), int64(len(g.Members)))
 }
 
-// onDecider is the member.Hooks.Decider tap (event goroutine). early
-// says the tenure's decision went out without waiting for the idle hold.
-func (o *nodeObs) onDecider(isDecider, sent, early bool) {
+// onDecider is the member.Hooks.Decider tap (event goroutine). how says
+// how the tenure's decision went out: obs.DeciderHeld,
+// DeciderEarlyOrdering or DeciderEarlyAckOnly.
+func (o *nodeObs) onDecider(isDecider, sent bool, how int64) {
 	if isDecider {
 		o.tenureStart = time.Now()
 		o.emit(obs.EvDeciderStart, 0, 0)
@@ -503,14 +504,11 @@ func (o *nodeObs) onDecider(isDecider, sent, early bool) {
 		o.decisionLat.ObserveSince(o.tenureStart)
 	}
 	o.tenureStart = time.Time{}
-	var a, b int64
+	var a int64
 	if sent {
 		a = 1
 	}
-	if early {
-		b = 1
-	}
-	o.emit(obs.EvDeciderEnd, a, b)
+	o.emit(obs.EvDeciderEnd, a, how)
 }
 
 // onSuspicion is the member.Hooks.Suspicion tap (event goroutine).

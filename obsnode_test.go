@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"timewheel/internal/obs"
 )
 
 // The acceptance criteria: /metrics serves valid Prometheus text with
@@ -392,20 +394,24 @@ func TestObsEventsFollowSSE(t *testing.T) {
 	}
 }
 
-// "Where did this proposal's time go": a decision sent with proposals
-// waiting is counted in timewheel_decisions_early_total (next to the
-// decisions-sent counter, in Metrics and on /metrics), and the
-// decider-end trace event of that tenure carries the early bit.
+// "Where did this proposal's time go": a decision sent early — to order
+// a proposal, or to publish an ack a Strong delivery waits on — is
+// counted in timewheel_decisions_early_total (next to the decisions-sent
+// counter, in Metrics and on /metrics), and the decider-end trace event
+// of that tenure says which: held, ordering-early or ack-only-early.
 func TestEarlyDecisionsAreCountedAndTraced(t *testing.T) {
 	var mu sync.Mutex
 	var earlyEnds, heldEnds int
 	cancel := Observe(func(ev TraceEvent) {
 		if ev.Type == "decider-end" && ev.A == 1 {
 			mu.Lock()
-			if ev.B == 1 {
+			switch ev.B {
+			case obs.DeciderEarlyOrdering, obs.DeciderEarlyAckOnly:
 				earlyEnds++
-			} else {
+			case obs.DeciderHeld:
 				heldEnds++
+			default:
+				t.Errorf("decider-end payload B=%d", ev.B)
 			}
 			mu.Unlock()
 		}
@@ -443,8 +449,11 @@ func TestEarlyDecisionsAreCountedAndTraced(t *testing.T) {
 		}
 		early, sent = early+m.DecisionsEarly, sent+m.DecisionsSent
 	}
-	if early == 0 || early > uint64(proposed) {
-		t.Fatalf("%d early decisions (of %d sent) for %d proposals: want 1..%d", early, sent, proposed, proposed)
+	// One ordering decision per proposal plus at most need-1 ack-only
+	// ones (need = 2 of 3 for Strong): early <= proposed × need.
+	const need = 2
+	if early == 0 || early > uint64(proposed)*need {
+		t.Fatalf("%d early decisions (of %d sent) for %d proposals: want 1..%d", early, sent, proposed, proposed*need)
 	}
 	var scraped uint64
 	for _, n := range nodes {

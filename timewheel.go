@@ -487,7 +487,8 @@ type Node struct {
 	views        []ViewEvent
 	tenures      []DeciderTenure
 	deciderSent  uint64 // DecisionsSent at tenure start, for Sent marking
-	deciderEarly uint64 // DecisionsEarly at tenure start, for the trace event's early bit
+	deciderEarly uint64 // DecisionsEarly at tenure start, for the trace event's payload
+	deciderAck   uint64 // DecisionsAckOnly at tenure start, likewise
 }
 
 // ViewEvent is one view installation in the node's recorded history,
@@ -761,19 +762,25 @@ func NewNode(cfg Config) (*Node, error) {
 			},
 			Decider: func(isDecider bool, _ model.Time) {
 				at := time.Now()
-				sent, early := false, false
+				sent, how := false, int64(obs.DeciderHeld)
 				ms := n.machine.Stats()
 				n.histMu.Lock()
 				if isDecider {
 					n.tenures = append(n.tenures, DeciderTenure{Start: at})
-					n.deciderSent, n.deciderEarly = ms.DecisionsSent, ms.DecisionsEarly
+					n.deciderSent, n.deciderEarly, n.deciderAck = ms.DecisionsSent, ms.DecisionsEarly, ms.DecisionsAckOnly
 				} else if k := len(n.tenures) - 1; k >= 0 && n.tenures[k].End.IsZero() {
 					n.tenures[k].End = at
-					sent, early = ms.DecisionsSent > n.deciderSent, ms.DecisionsEarly > n.deciderEarly
+					sent = ms.DecisionsSent > n.deciderSent
+					switch {
+					case ms.DecisionsAckOnly > n.deciderAck:
+						how = obs.DeciderEarlyAckOnly
+					case ms.DecisionsEarly > n.deciderEarly:
+						how = obs.DeciderEarlyOrdering
+					}
 					n.tenures[k].Sent = sent
 				}
 				n.histMu.Unlock()
-				n.obs.onDecider(isDecider, sent, early)
+				n.obs.onDecider(isDecider, sent, how)
 			},
 			WireEvent: func(dir member.WireDir, kind wire.Kind, peer model.ProcessID, ctx wire.Causal, _ model.Time) {
 				n.obs.onWireEvent(dir, kind, peer, ctx)
@@ -1260,7 +1267,7 @@ type Metrics struct {
 	ReconfigsSent     uint64
 	JoinsSent         uint64
 	DecisionsSent     uint64
-	DecisionsEarly    uint64 // of DecisionsSent: sent with proposals waiting, without the idle hold
+	DecisionsEarly    uint64 // of DecisionsSent: sent without the idle hold, to order a proposal or publish an ack a Strong/Strict delivery awaits
 	Admissions        uint64
 	SelfExclusions    uint64
 	// Broadcast-layer counters.
