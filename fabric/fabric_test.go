@@ -78,14 +78,16 @@ func TestGroupSpecValidation(t *testing.T) {
 	}
 }
 
-// fastParams mirrors the root package's test timing model.
+// fastParams is the fabric tests' timing model: D = 40 ms, wide enough
+// that a host busy with other test binaries does not turn scheduling
+// delay into spurious suspicions.
 func fastParams() timewheel.Params {
 	return timewheel.Params{
-		Delta:   2 * time.Millisecond,
-		D:       4 * time.Millisecond,
-		Epsilon: time.Millisecond,
-		Sigma:   time.Millisecond,
-		SlotPad: 500 * time.Microsecond,
+		Delta:   20 * time.Millisecond,
+		D:       40 * time.Millisecond,
+		Epsilon: 10 * time.Millisecond,
+		Sigma:   10 * time.Millisecond,
+		SlotPad: 5 * time.Millisecond,
 	}
 }
 

@@ -109,3 +109,74 @@ func TestLastOrderingTS(t *testing.T) {
 		}
 	}
 }
+
+// TimeReleaseAt names the earliest settle point (SendTS+δ+ε) of a
+// retained time-ordered update that no decision has passed: never one of
+// another order, a purged or an already delivered update, and never
+// once a decision built or adopted at or after that point released it.
+func TestTimeReleaseAtIsExact(t *testing.T) {
+	h := newHarness(t, 0, 1, 2)
+	settle := h.params.Delta + h.params.Epsilon
+	timeWeak := sem(oal.TimeOrder, oal.WeakAtomicity)
+	decideAt := func(who model.ProcessID, ts model.Time) {
+		h.now = ts
+		dec, _ := h.members[who].BuildDecision(ts, h.group, h.group.Members)
+		h.adopt(dec)
+	}
+	pending := func(want model.Time) {
+		t.Helper()
+		for _, id := range h.group.Members {
+			at, ok := h.members[id].TimeReleaseAt()
+			if want == 0 && ok {
+				t.Fatalf("p%d: release pending at %v, want none", id, at)
+			}
+			if want != 0 && (!ok || at != want) {
+				t.Fatalf("p%d: release at %v (%v), want %v", id, at, ok, want)
+			}
+		}
+	}
+	pending(0)
+
+	// Other orders wait on no settle point.
+	h.propose(1, "total", sem(oal.TotalOrder, oal.WeakAtomicity))
+	decideAt(0, h.now+1)
+	pending(0)
+
+	// Two time-ordered updates, ordered together: the earlier settle
+	// point first, then, once a decision has passed it, the later one.
+	t0 := h.now + 1000
+	h.now = t0
+	a := h.members[1].Propose(t0, []byte("a"), timeWeak)
+	h.fanout(a)
+	h.now = t0 + 1
+	b := h.members[2].Propose(t0+1, []byte("b"), timeWeak)
+	h.fanout(b)
+	decideAt(0, t0+2)
+	pending(t0.Add(settle))
+	decideAt(1, t0.Add(settle)-1)
+	pending(t0.Add(settle))
+	decideAt(2, t0.Add(settle))
+	pending(t0.Add(settle) + 1)
+	for _, id := range h.group.Members {
+		if !h.members[id].Delivered(a.ID) || h.members[id].Delivered(b.ID) {
+			t.Fatalf("p%d: a delivered=%v, b delivered=%v at a's settle point", id, h.members[id].Delivered(a.ID), h.members[id].Delivered(b.ID))
+		}
+	}
+	decideAt(0, t0.Add(settle)+1)
+	pending(0)
+
+	// Purged and delivered updates wait on nothing, whatever their
+	// settle point.
+	c := h.propose(1, "c", timeWeak)
+	decideAt(2, h.now+1)
+	pending(c.SendTS.Add(settle))
+	m := h.members[0]
+	m.view.Entries[len(m.view.Entries)-1].Undeliverable = true
+	if at, ok := m.TimeReleaseAt(); ok {
+		t.Fatalf("a purged update waits for release at %v", at)
+	}
+	h.members[1].delivered[c.ID] = true
+	if at, ok := h.members[1].TimeReleaseAt(); ok {
+		t.Fatalf("a delivered update waits for release at %v", at)
+	}
+}

@@ -258,6 +258,7 @@ type Broadcast struct {
 	bodiless     []oal.Ordinal
 	ackDebt      []oal.Ordinal
 	ownAcked     []oal.Ordinal
+	releaseQ     []settleMark
 	dcur         oal.Ordinal
 	ackFail      [2]oal.Ordinal
 	stableCur    oal.Ordinal
@@ -385,6 +386,7 @@ func (b *Broadcast) noteDecided(ts model.Time) {
 	if b.view.Next != b.decNext {
 		b.lastOrdTS, b.decNext = ts, b.view.Next
 	}
+	b.dropReleased()
 }
 
 // Stats returns a copy of the layer's counters.

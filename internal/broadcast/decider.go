@@ -130,6 +130,21 @@ func (b *Broadcast) AckAwaited() bool {
 	return false
 }
 
+// TimeReleaseAt returns the earliest settle point (SendTS+δ+ε) among the
+// retained, unpurged, undelivered time-ordered updates that no decision
+// sent or adopted here has passed yet, and false when there is none. A
+// decision stamped at or after it releases that update (orderOK). Like
+// AckAwaited it is exact: BuildDecision or AdoptDecision at a timestamp
+// at or after the point passes it, so a decider acting on it cannot
+// spin, and an idle group holds none.
+func (b *Broadcast) TimeReleaseAt() (model.Time, bool) {
+	b.dropReleased()
+	if len(b.releaseQ) == 0 {
+		return 0, false
+	}
+	return b.releaseQ[0].at, true
+}
+
 // MaxOrdinalsPerDecision bounds the proposals one decision orders. What
 // is left waits for the next decision, which under load is one
 // early-decision slot away (member.decideIfOrderable): the bound keeps a

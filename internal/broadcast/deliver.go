@@ -192,7 +192,7 @@ func (b *Broadcast) orderOK(d *oal.Descriptor, totalBlocked bool) bool {
 		// earlier has been ordered by then. Then deliver in
 		// (timestamp, proposer, seq) order among time-ordered updates;
 		// the undelivered ones all sit at or above the delivery cursor.
-		if b.lastDecTS < d.SendTS.Add(b.params.Delta+b.params.Epsilon) {
+		if b.lastDecTS < b.settleAt(d) {
 			return false
 		}
 		for i := b.view.Search(b.dcur); i < len(b.view.Entries); i++ {

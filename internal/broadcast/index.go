@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"cmp"
 	"slices"
 
 	"timewheel/internal/model"
@@ -25,15 +26,17 @@ import (
 //   - ackFail[k] is the first ordinal whose update lacks a majority
 //     (k = 0) or all (k = 1) of the group's acknowledgements: "every
 //     update up to hdo is sufficiently acknowledged" is hdo < ackFail[k];
-//   - stableCur is the first ordinal with no stability stamp.
+//   - stableCur is the first ordinal with no stability stamp;
+//   - releaseQ holds, by settle point, the time-ordered updates no
+//     decision has released yet (see TimeReleaseAt).
 //
-// fastQ, bodiless, ackDebt and ownAcked are candidate lists: every event
-// that can make an entry qualify appends it, and the reader re-checks the
-// condition, so entries that stopped qualifying (delivered through a
-// state transfer, purged, truncated) cost one look and drop out. The
-// cursors are lower bounds that only move forward while the view evolves
-// monotonically; an adopted entry that steps back below one pulls it
-// back, and replacing the view wholesale resets them.
+// fastQ, bodiless, ackDebt, ownAcked and releaseQ are candidate lists:
+// every event that can make an entry qualify appends it, and the reader
+// re-checks the condition, so entries that stopped qualifying (delivered
+// through a state transfer, purged, truncated) cost one look and drop
+// out. The cursors are lower bounds that only move forward while the view
+// evolves monotonically; an adopted entry that steps back below one pulls
+// it back, and replacing the view wholesale resets them.
 
 // entryMeta is what the working view remembers about the descriptor at
 // the same position of view.Entries, beyond what goes over the wire.
@@ -47,6 +50,13 @@ type entryMeta struct {
 	// decision has carried it yet: the shared content is the descriptor
 	// without that bit.
 	ownAck bool
+}
+
+// settleMark is a releaseQ entry: the settle point of the time-ordered
+// update at ordinal ord.
+type settleMark struct {
+	at  model.Time
+	ord oal.Ordinal
 }
 
 // fifoBlock is one proposer's smallest undelivered ordered-class sequence
@@ -175,6 +185,9 @@ func (b *Broadcast) noteDescriptor(pos int) {
 		}
 		return
 	}
+	if d.Sem.Order == oal.TimeOrder && !b.delivered[d.ID] {
+		b.queueRelease(d)
+	}
 	if have {
 		b.stampOwnAck(pos)
 	} else if !b.delivered[d.ID] {
@@ -190,6 +203,51 @@ func (b *Broadcast) noteDescriptor(pos int) {
 			b.ackFail[k] = d.Ordinal
 		}
 	}
+}
+
+// settleAt is the settle point of a time-ordered update: a decision
+// stamped at or after it releases the update (orderOK).
+func (b *Broadcast) settleAt(d *oal.Descriptor) model.Time {
+	return d.SendTS.Add(b.params.Delta + b.params.Epsilon)
+}
+
+// queueRelease adds the time-ordered update d to releaseQ unless a
+// decision has already passed its settle point.
+func (b *Broadcast) queueRelease(d *oal.Descriptor) {
+	m := settleMark{at: b.settleAt(d), ord: d.Ordinal}
+	if m.at <= b.lastDecTS {
+		return
+	}
+	i, found := slices.BinarySearchFunc(b.releaseQ, m, func(a, c settleMark) int {
+		return cmp.Or(cmp.Compare(a.at, c.at), cmp.Compare(a.ord, c.ord))
+	})
+	if !found {
+		b.releaseQ = slices.Insert(b.releaseQ, i, m)
+	}
+}
+
+// dropReleased drops the releaseQ head a decision has passed, and the
+// entries that no longer name an undelivered, unpurged time-ordered
+// update of the view (truncated, purged, delivered through a transfer):
+// what is left starts with the earliest settle point still pending.
+func (b *Broadcast) dropReleased() {
+	n := 0
+	for ; n < len(b.releaseQ); n++ {
+		m := b.releaseQ[n]
+		if m.at <= b.lastDecTS {
+			continue
+		}
+		i := b.view.Search(m.ord)
+		if i == len(b.view.Entries) || b.view.Entries[i].Ordinal != m.ord {
+			continue
+		}
+		d := &b.view.Entries[i]
+		if d.Kind == oal.UpdateDesc && d.Sem.Order == oal.TimeOrder && !d.Undeliverable &&
+			!b.delivered[d.ID] && b.settleAt(d) == m.at {
+			break
+		}
+	}
+	b.releaseQ = b.releaseQ[n:]
 }
 
 // forget drops what is kept per descriptor once it leaves the view.
@@ -276,6 +334,7 @@ func (b *Broadcast) reindex() {
 	b.bodiless = b.bodiless[:0]
 	b.ackDebt = b.ackDebt[:0]
 	b.ownAcked = b.ownAcked[:0]
+	b.releaseQ = b.releaseQ[:0]
 	b.fastQ = b.fastQ[:0]
 	b.dcur, b.stableCur = 0, b.view.Next
 	b.ackFail = [2]oal.Ordinal{}

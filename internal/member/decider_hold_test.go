@@ -148,7 +148,9 @@ func TestProposalArrivalEndsTheHold(t *testing.T) {
 	// Own proposals: the proposal goes out first, then the decision. (A
 	// process's first proposal carries a clock-seeded sequence, which is a
 	// gap to the decider; p1 orders it here so that the second continues
-	// an ordered sequence.)
+	// an ordered sequence.) The decision that orders it hands p2 the role
+	// with p2's own ack on it unpublished: p2 publishes it at once, in an
+	// ack-only decision, and p1's next decision hands the role back.
 	own := newRig(t, 2)
 	own.join(0)
 	first := own.m.Propose([]byte("first"), totalStrong)
@@ -157,7 +159,12 @@ func TestProposalArrivalEndsTheHold(t *testing.T) {
 	own.env.now += 100
 	dec.SendTS = own.env.now
 	own.m.OnMessage(dec)
-	if !own.m.IsDecider() || own.decisionsSent() != 0 {
+	if st := own.m.Stats(); own.m.IsDecider() || own.decisionsSent() != 1 || st.DecisionsAckOnly != 1 {
+		t.Fatalf("setup: isDecider=%v decisions=%d stats=%+v", own.m.IsDecider(), own.decisionsSent(), st)
+	}
+	own.env.now += 100
+	own.m.OnMessage(own.decisionFrom(1, own.m.Group()))
+	if !own.m.IsDecider() || own.decisionsSent() != 1 {
 		t.Fatalf("setup: isDecider=%v decisions=%d", own.m.IsDecider(), own.decisionsSent())
 	}
 	own.env.now = own.env.now.Add(own.slot())
@@ -171,43 +178,85 @@ func TestProposalArrivalEndsTheHold(t *testing.T) {
 }
 
 // A decider holding an own ack a Strong delivery still waits on decides
-// in the next slot after the latest decision, ordering nothing: an
-// ack-only decision. It carries the ack, and the role moves on.
-func TestAwaitedAckDecidesInNextSlot(t *testing.T) {
-	for _, inSlot := range []bool{true, false} {
+// in the handler that gave it the role — inside the slot of the handing
+// decision too — ordering nothing: an ack-only decision. It carries the
+// ack, and the role moves on.
+func TestAwaitedAckDecidesInline(t *testing.T) {
+	r := newRig(t, 2)
+	r.join(0) // p1 is next; p2 watches
+	r.m.OnMessage(r.proposalFrom(3, 1))
+	r.env.now += 100
+	dec := r.decisionFrom(1, r.m.Group())
+	var acks oal.AckSet
+	acks.Add(1)
+	id := oal.ProposalID{Proposer: 3, Seq: 1}
+	dec.OAL.AppendUpdate(id, totalStrong, r.env.now-100, 0, acks)
+	r.m.OnMessage(dec) // p2 adopts, stamps its ack, takes the role and decides
+	st := r.m.Stats()
+	if r.decisionsSent() != 1 || st.DecisionsEarly != 1 || st.DecisionsAckOnly != 1 || r.m.IsDecider() {
+		t.Fatalf("decisions=%d stats=%+v decider=%v", r.decisionsSent(), st, r.m.IsDecider())
+	}
+	if _, armed := r.env.timers[TimerDecide]; armed {
+		t.Fatalf("decide timer left armed after an inline decision")
+	}
+	sent := r.env.lastSent().(*wire.Decision)
+	if d := sent.OAL.Find(id); d == nil || !d.Acks.Has(2) || sent.OAL.Next != dec.OAL.Next {
+		t.Fatalf("ack-only decision: %v", sent.OAL.Entries)
+	}
+	if r.bc.AckAwaited() {
+		t.Fatalf("ack still awaited after the decision that carried it")
+	}
+}
+
+// A decider with nothing to order and no awaited ack, holding a
+// time-ordered update no decision has released, decides at exactly the
+// update's settle point (SendTS+δ+ε) when that comes before the end of
+// its hold: a release decision, counted as the kind its timer was armed
+// for, which lets the update be delivered. When the hold ends first, the
+// held decision goes out as before.
+func TestReleaseDecisionAtTheSettlePoint(t *testing.T) {
+	timeWeak := oal.Semantics{Order: oal.TimeOrder, Atomicity: oal.WeakAtomicity}
+	// The handing decision is sent and received this long after the
+	// update: the hold ends 10 ms later (D - Delta), the settle point is
+	// 12 ms after the update.
+	for _, tc := range []struct {
+		after   model.Duration
+		release bool
+	}{{5 * model.Millisecond, true}, {1 * model.Millisecond, false}} {
 		r := newRig(t, 2)
 		r.join(0) // p1 is next; p2 watches
-		r.m.OnMessage(r.proposalFrom(3, 1))
-		r.env.now += 100
+		p := r.proposalFrom(3, 1)
+		p.Sem = timeWeak
+		r.m.OnMessage(p)
+		r.env.now = p.SendTS.Add(tc.after)
 		dec := r.decisionFrom(1, r.m.Group())
 		var acks oal.AckSet
 		acks.Add(1)
-		id := oal.ProposalID{Proposer: 3, Seq: 1}
-		dec.OAL.AppendUpdate(id, totalStrong, r.env.now-100, 0, acks)
-		if inSlot {
-			r.env.now = r.env.now.Add(r.slot())
+		dec.OAL.AppendUpdate(p.ID, timeWeak, p.SendTS, 0, acks)
+		r.m.OnMessage(dec)
+		if !r.m.IsDecider() || r.decisionsSent() != 0 {
+			t.Fatalf("setup: isDecider=%v decisions=%d", r.m.IsDecider(), r.decisionsSent())
 		}
-		r.m.OnMessage(dec) // p2 adopts, stamps its ack and takes the role
-		if !inSlot {
-			if !r.bc.AckAwaited() || r.bc.Orderable(r.env.now) {
-				t.Fatalf("setup: awaited=%v orderable=%v", r.bc.AckAwaited(), r.bc.Orderable(r.env.now))
-			}
-			q := model.Time(r.slot())
-			if r.decisionsSent() != 0 || r.env.timers[TimerDecide] != dec.SendTS-dec.SendTS%q+q {
-				t.Fatalf("decisions=%d timer=%d, want the slot edge after %d", r.decisionsSent(), r.env.timers[TimerDecide], dec.SendTS)
-			}
-			r.fireDecide()
+		settle := p.SendTS.Add(r.p.Delta + r.p.Epsilon)
+		if at := r.env.timers[TimerDecide]; (at == settle) != tc.release {
+			t.Fatalf("handed the role +%v after the update: decide timer at %v, settle point %v", tc.after, at, settle)
 		}
+		r.fireDecide()
 		st := r.m.Stats()
-		if r.decisionsSent() != 1 || st.DecisionsEarly != 1 || st.DecisionsAckOnly != 1 || r.m.IsDecider() {
-			t.Fatalf("inSlot=%v: decisions=%d stats=%+v decider=%v", inSlot, r.decisionsSent(), st, r.m.IsDecider())
+		if !tc.release {
+			if st.DecisionsEarly != 0 || st.DecisionsRelease != 0 {
+				t.Fatalf("held decision counted early: %+v", st)
+			}
+			continue
 		}
-		sent := r.env.lastSent().(*wire.Decision)
-		if d := sent.OAL.Find(id); d == nil || !d.Acks.Has(2) || sent.OAL.Next != dec.OAL.Next {
-			t.Fatalf("ack-only decision: %v", sent.OAL.Entries)
+		if sent := r.env.lastSent().(*wire.Decision); st.DecisionsEarly != 1 || st.DecisionsRelease != 1 || sent.SendTS != settle {
+			t.Fatalf("release decision: stats=%+v stamped %v, want %v", st, sent.SendTS, settle)
 		}
-		if r.bc.AckAwaited() {
-			t.Fatalf("ack still awaited after the decision that carried it")
+		if !r.bc.Delivered(p.ID) {
+			t.Fatalf("the release decision did not release the update")
+		}
+		if at, ok := r.bc.TimeReleaseAt(); ok {
+			t.Fatalf("release still pending at %v after the release decision", at)
 		}
 	}
 }

@@ -215,9 +215,11 @@ type Machine struct {
 	joinSince model.Time
 
 	// Decider duty: decideAt is what TimerDecide is set to while the
-	// role is held.
-	isDecider bool
-	decideAt  model.Time
+	// role is held, and decideKind the kind of decision it sends
+	// (earlyNone for the idle hold).
+	isDecider  bool
+	decideAt   model.Time
+	decideKind int
 
 	// Join protocol.
 	lastJoin map[model.ProcessID]joinInfo
@@ -292,8 +294,9 @@ type Stats struct {
 	ReconfigsSent     uint64
 	JoinsSent         uint64
 	DecisionsSent     uint64
-	DecisionsEarly    uint64 // of DecisionsSent: sent early, to order a proposal or publish an awaited ack
+	DecisionsEarly    uint64 // of DecisionsSent: sent early, to order a proposal, publish an awaited ack or release a time-ordered update
 	DecisionsAckOnly  uint64 // of DecisionsEarly: sent early only to publish an awaited ack
+	DecisionsRelease  uint64 // of DecisionsEarly: sent at a time-ordered update's settle point, to release it
 	Admissions        uint64
 	SelfExclusions    uint64 // guard-triggered drops to the join state
 	OALReqsSent       uint64 // full-oal baseline requests sent

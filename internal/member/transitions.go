@@ -187,7 +187,7 @@ func (m *Machine) OnTimer(id TimerID) {
 		m.onExpectTimeout()
 	case TimerDecide:
 		if m.isDecider {
-			m.sendRotationDecision(m.earlyKind())
+			m.sendRotationDecision(m.decideKind)
 		}
 	case TimerSlot:
 		m.onOwnSlot()
@@ -776,13 +776,12 @@ func (m *Machine) onExpectTimeout() {
 
 // becomeDecider assumes the decider role. The role is held for the
 // configured idle hold and the decision goes out on TimerDecide — unless
-// proposals are waiting to be ordered or a delivery waits on one of this
-// process's acks, which brings the decision forward to the next
-// early-decision slot (see decideIfOrderable). baseTS is the
-// send timestamp of the decision that handed us the role: peers expect
-// our control message by baseTS+2D, so when that decision arrived late (a
-// retransmission after a masked false alarm) the hold is shortened to
-// keep our decision inside their deadline.
+// the decision would do work a delivery waits on, which brings it
+// forward (see decideIfOrderable). baseTS is the send timestamp of the
+// decision that handed us the role: peers expect our control message by
+// baseTS+2D, so when that decision arrived late (a retransmission after
+// a masked false alarm) the hold is shortened to keep our decision
+// inside their deadline.
 func (m *Machine) becomeDecider(baseTS model.Time) {
 	m.setDecider(true)
 	m.fd.ClearExpectation()
@@ -799,18 +798,19 @@ func (m *Machine) becomeDecider(baseTS model.Time) {
 	// receipt (expectAfter grants now+D), so the full hold applies — it
 	// also gives a concurrent wrong-suspicion takeover decision time to
 	// arrive and relinquish us before we send a competing one.
-	m.armDecide(at)
+	m.armDecide(at, earlyNone)
 	m.decideIfOrderable()
 }
 
-// armDecide sets the decider-duty timer and remembers what it is set to,
-// so that an early-decision slot only ever brings it forward.
-func (m *Machine) armDecide(at model.Time) {
-	m.decideAt = at
+// armDecide sets the decider-duty timer and remembers what it is set to
+// and what kind of decision it sends, so that an early decision only
+// ever brings it forward and is counted as what it was armed for.
+func (m *Machine) armDecide(at model.Time, kind int) {
+	m.decideAt, m.decideKind = at, kind
 	m.env.SetTimer(TimerDecide, at)
 }
 
-// earlySlotsPerD divides D into the slots early decisions are sent in.
+// earlySlotsPerD divides D into the slots ordering decisions are sent in.
 const earlySlotsPerD = 32
 
 // slotAfter is the first early-decision slot after the decision sent at
@@ -828,43 +828,42 @@ func (m *Machine) slotAfter(last model.Time) model.Time {
 // from above only, so a decider whose decision would do work a delivery
 // waits on does not sit out the idle hold. In failure-free operation of
 // a group of at least two, a decider sends early when its decision
-// would assign at least one ordinal (broadcast.Orderable) or publish an
-// acknowledgement a Strong or Strict delivery still waits on
-// (broadcast.AckAwaited, an ack-only decision). Acknowledgements travel
-// only in decisions, so without the second case such an update waits a
-// further rotation of held decisions for its majority or all-ack.
+// would
 //
-// Each kind has its own slot grid. An ordering decision goes in the
-// next early-decision slot after the latest decision that assigned an
-// ordinal, so at most one per slot goes out (earlySlotsPerD per D, each
-// ordering a bounded batch — see broadcast.MaxOrdinalsPerDecision) and
-// what a group orders per second is set by D and not by how fast its
-// hosts happen to run. An ack-only decision goes in the next slot after
-// the latest decision of either kind: at most one decision of each kind
-// per slot, and ack-only decisions never push an arriving proposal to a
-// later slot edge. Either is sent at the end of the current handler when
-// its slot has already begun, and on TimerDecide otherwise. With nothing
-// to order and no awaited ack — an idle group holds none — and in every
-// other state, the hold and all failure-detector deadlines stay as they
-// are. Both tests are exact, so the role cannot spin through an idle
-// group.
+//   - assign at least one ordinal (broadcast.Orderable): an ordering
+//     decision, in the next early-decision slot after the latest
+//     decision that assigned an ordinal, so at most one goes out per
+//     slot (earlySlotsPerD per D, each ordering a bounded batch — see
+//     broadcast.MaxOrdinalsPerDecision) and what a group orders per
+//     second is set by D and not by how fast its hosts happen to run;
+//   - otherwise, publish an acknowledgement a Strong or Strict delivery
+//     still waits on (broadcast.AckAwaited): an ack-only decision, at
+//     once. Acknowledgements travel only in decisions, so without it such
+//     an update waits a further rotation of held decisions for its
+//     majority or all-ack;
+//   - otherwise, pass the settle point of a time-ordered update
+//     (broadcast.TimeReleaseAt): a release decision, at exactly that
+//     point, which is when orderOK first lets the update go.
+//
+// A decision whose time has come is sent at the end of the current
+// handler, and on TimerDecide otherwise. With none of the three — an
+// idle group holds none — and in every other state, the hold and all
+// failure-detector deadlines stay as they are. All three tests are
+// exact, so the role cannot spin through an idle group: an ordering
+// decision assigns an ordinal, an ack-only one publishes an own ack, of
+// which there are finitely many, and a release decision moves the
+// latest decision past the settle point it was sent for.
 func (m *Machine) decideIfOrderable() {
 	if !m.isDecider {
 		return
 	}
-	var at model.Time
-	kind := m.earlyKind()
-	switch kind {
-	case earlyOrdering:
-		at = m.slotAfter(m.bc.LastOrderingTS())
-	case earlyAckOnly:
-		at = m.slotAfter(m.bc.LastDecisionTS())
-	default:
+	kind, at := m.earlyDecision()
+	if kind == earlyNone {
 		return
 	}
 	if at > m.env.Now() {
 		if at < m.decideAt {
-			m.armDecide(at)
+			m.armDecide(at, kind)
 		}
 		return
 	}
@@ -873,7 +872,7 @@ func (m *Machine) decideIfOrderable() {
 }
 
 // sendRotationDecision sends the failure-free rotation's decision,
-// counting it by what made it early (earlyKind), if anything.
+// counting it by what made it early, if anything.
 func (m *Machine) sendRotationDecision(kind int) {
 	switch kind {
 	case earlyOrdering:
@@ -881,31 +880,40 @@ func (m *Machine) sendRotationDecision(kind int) {
 	case earlyAckOnly:
 		m.stats.DecisionsEarly++
 		m.stats.DecisionsAckOnly++
+	case earlyRelease:
+		m.stats.DecisionsEarly++
+		m.stats.DecisionsRelease++
 	}
 	m.sendDecision()
 }
 
-// Kinds of decision a decider sends early, in the order earlyKind tests
-// them: an ordering decision publishes its own acks too.
+// Kinds of decision a decider sends early, in the order earlyDecision
+// tests them: an ordering decision publishes its own acks too, and any
+// decision releases what its timestamp has passed.
 const (
 	earlyNone = iota
 	earlyOrdering
 	earlyAckOnly
+	earlyRelease
 )
 
-// earlyKind reports what, if anything, makes a decision of the
-// failure-free rotation sent now an early one.
-func (m *Machine) earlyKind() int {
+// earlyDecision reports what, if anything, makes a decision of the
+// failure-free rotation an early one, and when that decision is due.
+func (m *Machine) earlyDecision() (kind int, at model.Time) {
 	if m.state != StateFailureFree || m.group.Size() < 2 {
-		return earlyNone
+		return earlyNone, 0
 	}
+	now := m.env.Now()
 	switch {
-	case m.bc.Orderable(m.env.Now()):
-		return earlyOrdering
+	case m.bc.Orderable(now):
+		return earlyOrdering, m.slotAfter(m.bc.LastOrderingTS())
 	case m.bc.AckAwaited():
-		return earlyAckOnly
+		return earlyAckOnly, now
 	}
-	return earlyNone
+	if at, ok := m.bc.TimeReleaseAt(); ok {
+		return earlyRelease, at
+	}
+	return earlyNone, 0
 }
 
 // becomeDeciderNow assumes the decider role and sends the decision
@@ -943,7 +951,7 @@ func (m *Machine) sendDecision() {
 	if m.group.Size() <= 1 {
 		// Singleton group: the role rotates back to us.
 		m.setDecider(true)
-		m.armDecide(now.Add(m.params.D))
+		m.armDecide(now.Add(m.params.D), earlyNone)
 		return
 	}
 	m.expectAfter(m.self, dec.SendTS)

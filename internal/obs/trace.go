@@ -18,8 +18,8 @@ const (
 	// EvDeciderStart marks assuming the decider role.
 	EvDeciderStart
 	// EvDeciderEnd: A=1 when the tenure produced a decision; B says how
-	// that decision went out (DeciderHeld, DeciderEarlyOrdering or
-	// DeciderEarlyAckOnly).
+	// that decision went out (DeciderHeld, DeciderEarlyOrdering,
+	// DeciderEarlyAckOnly or DeciderEarlyRelease).
 	EvDeciderEnd
 	// EvElectionStart: A=the state entered (1-failure or n-failure).
 	EvElectionStart
@@ -67,6 +67,7 @@ const (
 	DeciderHeld          = 0 // after the idle hold
 	DeciderEarlyOrdering = 1 // early, to order a proposal
 	DeciderEarlyAckOnly  = 2 // early, only to publish an awaited ack
+	DeciderEarlyRelease  = 3 // early, at a time-ordered update's settle point
 )
 
 func (t EventType) String() string {

@@ -6,6 +6,7 @@ import (
 
 	"timewheel/internal/check"
 	"timewheel/internal/model"
+	"timewheel/internal/netsim"
 	"timewheel/internal/node"
 	"timewheel/internal/oal"
 	"timewheel/internal/wire"
@@ -77,8 +78,8 @@ func TestEarlyDecisionsOrderWork(t *testing.T) {
 
 // One Strong update into an idle group of five needs three acks. The
 // decider that orders it carries its own; the next two deciders each
-// publish theirs in an ack-only decision in the next slot, instead of
-// waiting out a D/2 hold apiece. Then the group is idle again and holds
+// publish theirs in an ack-only decision as they take the role, instead
+// of waiting out a D/2 hold apiece. Then the group is idle again and holds
 // no unpublished ack: 50 cycles carry exactly E2's decision count.
 func TestStrongUpdateTakesOneOrderingAndTwoAckOnlyDecisions(t *testing.T) {
 	const n = 5
@@ -126,5 +127,68 @@ func TestStrongUpdateTakesOneOrderingAndTwoAckOnlyDecisions(t *testing.T) {
 	}
 	if e, a := counts(); e != early || a != ackOnly {
 		t.Fatalf("idle cycles sent %d early decisions (%d ack-only)", e-early, a-ackOnly)
+	}
+}
+
+// One time-ordered Strict update into an idle group of five, every
+// message taking one delay: the decider that orders it carries its own
+// ack and the next four publish theirs, each in an ack-only decision sent
+// as it takes the role. Then nothing is orderable and no ack is awaited,
+// but no decision has passed the update's settle point (SendTS+δ+ε): the
+// decider sends one release decision at exactly that point, and every
+// member delivers the update a message delay later, instead of at
+// whichever decision happens to come after it. Then the group is idle
+// again: 50 cycles carry exactly E2's decision count.
+func TestTimeStrictUpdateTakesOneReleaseDecision(t *testing.T) {
+	const n = 5
+	params := model.DefaultParams(n)
+	delay := params.Delta / 10
+	c := node.NewCluster(node.Options{Seed: 1, Params: params, PerfectClocks: true, Delay: netsim.ConstantDelay(delay)})
+	c.Start()
+	if _, ok := runUntil(c, 10, func() bool { return agreedOn(c, allIDs(n)) }); !ok {
+		t.Fatal("initial group never formed")
+	}
+	sem := oal.Semantics{Order: oal.TimeOrder, Atomicity: oal.StrictAtomicity}
+	counts := func() (early, ackOnly, release uint64) {
+		for id := 0; id < n; id++ {
+			st := c.Node(model.ProcessID(id)).Machine().Stats()
+			early, ackOnly, release = early+st.DecisionsEarly, ackOnly+st.DecisionsAckOnly, release+st.DecisionsRelease
+		}
+		return early, ackOnly, release
+	}
+	// A process's first proposal carries a clock-seeded sequence, a gap
+	// the held decisions jump; propose it first and let the group settle.
+	if !c.Node(1).Propose([]byte("warm-up"), sem) {
+		t.Fatal("warm-up proposal refused")
+	}
+	c.Run(cyclesDur(c, 4))
+	early0, ack0, rel0 := counts()
+	if !c.Node(1).Propose([]byte("strict"), sem) {
+		t.Fatal("proposal refused")
+	}
+	c.Run(cyclesDur(c, 4))
+	early, ackOnly, release := counts()
+	if early-early0 != 6 || ackOnly-ack0 != 4 || release-rel0 != 1 {
+		t.Fatalf("one time/strict update: %d early decisions, %d ack-only, %d release; want 1 ordering + 4 ack-only + 1 release",
+			early-early0, ackOnly-ack0, release-rel0)
+	}
+	bound := params.Delta + params.Epsilon + 2*delay
+	for id := 0; id < n; id++ {
+		ds := c.Node(model.ProcessID(id)).Deliveries
+		if len(ds) != 2 {
+			t.Fatalf("p%d delivered %d updates, want 2", id, len(ds))
+		}
+		if d := ds[1]; d.At.Sub(model.Time(d.SendTS)) > bound {
+			t.Errorf("p%d delivered the update %v after it was sent, want within δ+ε plus two message delays = %v",
+				id, d.At.Sub(model.Time(d.SendTS)), bound)
+		}
+	}
+	before := c.Net.Stats().Broadcasts[wire.KindDecision]
+	c.Run(cyclesDur(c, 50))
+	if got := c.Net.Stats().Broadcasts[wire.KindDecision] - before; got != 875 {
+		t.Fatalf("%d decisions in the next 50 idle cycles, E2 has 875", got)
+	}
+	if e, _, _ := counts(); e != early {
+		t.Fatalf("idle cycles sent %d early decisions", e-early)
 	}
 }

@@ -1,21 +1,24 @@
 package scenario
 
 import (
+	"flag"
 	"testing"
 
 	"timewheel/internal/check"
 )
 
-// TestChaosSweep runs the randomized fault schedule across 500 seeds —
-// the soak that historically surfaced most of the protocol races listed
-// in EXPERIMENTS.md. Every run must end with the full group re-formed
-// and zero invariant violations.
+var chaosSeeds = flag.Int("chaos.seeds", 500, "TestChaosSweep runs Chaos seeds 0 to chaos.seeds-1")
+
+// TestChaosSweep runs the randomized fault schedule across 500 seeds
+// (-chaos.seeds sets how many) — the soak that historically surfaced most
+// of the protocol races listed in EXPERIMENTS.md. Every run must end with
+// the full group re-formed and zero invariant violations.
 func TestChaosSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soak")
 	}
 	bad := 0
-	for seed := int64(0); seed < 500; seed++ {
+	for seed := int64(0); seed < int64(*chaosSeeds); seed++ {
 		r := Chaos(DefaultChaos(5, seed))
 		if r.Failed != "" {
 			t.Errorf("seed %d: %s", seed, r.Failed)

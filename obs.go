@@ -493,7 +493,7 @@ func (o *nodeObs) onViewChange(g model.Group) {
 
 // onDecider is the member.Hooks.Decider tap (event goroutine). how says
 // how the tenure's decision went out: obs.DeciderHeld,
-// DeciderEarlyOrdering or DeciderEarlyAckOnly.
+// DeciderEarlyOrdering, DeciderEarlyAckOnly or DeciderEarlyRelease.
 func (o *nodeObs) onDecider(isDecider, sent bool, how int64) {
 	if isDecider {
 		o.tenureStart = time.Now()

@@ -395,10 +395,11 @@ func TestObsEventsFollowSSE(t *testing.T) {
 }
 
 // "Where did this proposal's time go": a decision sent early — to order
-// a proposal, or to publish an ack a Strong delivery waits on — is
-// counted in timewheel_decisions_early_total (next to the decisions-sent
-// counter, in Metrics and on /metrics), and the decider-end trace event
-// of that tenure says which: held, ordering-early or ack-only-early.
+// a proposal, to publish an ack a Strong delivery waits on, or to release
+// a time-ordered update — is counted in timewheel_decisions_early_total
+// (next to the decisions-sent counter, in Metrics and on /metrics), and
+// the decider-end trace event of that tenure says which: held,
+// ordering-early, ack-only-early or release-early.
 func TestEarlyDecisionsAreCountedAndTraced(t *testing.T) {
 	var mu sync.Mutex
 	var earlyEnds, heldEnds int
@@ -406,7 +407,7 @@ func TestEarlyDecisionsAreCountedAndTraced(t *testing.T) {
 		if ev.Type == "decider-end" && ev.A == 1 {
 			mu.Lock()
 			switch ev.B {
-			case obs.DeciderEarlyOrdering, obs.DeciderEarlyAckOnly:
+			case obs.DeciderEarlyOrdering, obs.DeciderEarlyAckOnly, obs.DeciderEarlyRelease:
 				earlyEnds++
 			case obs.DeciderHeld:
 				heldEnds++

@@ -489,6 +489,7 @@ type Node struct {
 	deciderSent  uint64 // DecisionsSent at tenure start, for Sent marking
 	deciderEarly uint64 // DecisionsEarly at tenure start, for the trace event's payload
 	deciderAck   uint64 // DecisionsAckOnly at tenure start, likewise
+	deciderRel   uint64 // DecisionsRelease at tenure start, likewise
 }
 
 // ViewEvent is one view installation in the node's recorded history,
@@ -767,13 +768,15 @@ func NewNode(cfg Config) (*Node, error) {
 				n.histMu.Lock()
 				if isDecider {
 					n.tenures = append(n.tenures, DeciderTenure{Start: at})
-					n.deciderSent, n.deciderEarly, n.deciderAck = ms.DecisionsSent, ms.DecisionsEarly, ms.DecisionsAckOnly
+					n.deciderSent, n.deciderEarly, n.deciderAck, n.deciderRel = ms.DecisionsSent, ms.DecisionsEarly, ms.DecisionsAckOnly, ms.DecisionsRelease
 				} else if k := len(n.tenures) - 1; k >= 0 && n.tenures[k].End.IsZero() {
 					n.tenures[k].End = at
 					sent = ms.DecisionsSent > n.deciderSent
 					switch {
 					case ms.DecisionsAckOnly > n.deciderAck:
 						how = obs.DeciderEarlyAckOnly
+					case ms.DecisionsRelease > n.deciderRel:
+						how = obs.DeciderEarlyRelease
 					case ms.DecisionsEarly > n.deciderEarly:
 						how = obs.DeciderEarlyOrdering
 					}
@@ -1267,7 +1270,7 @@ type Metrics struct {
 	ReconfigsSent     uint64
 	JoinsSent         uint64
 	DecisionsSent     uint64
-	DecisionsEarly    uint64 // of DecisionsSent: sent without the idle hold, to order a proposal or publish an ack a Strong/Strict delivery awaits
+	DecisionsEarly    uint64 // of DecisionsSent: sent without the idle hold, to order a proposal, publish an ack a Strong/Strict delivery awaits, or release a time-ordered update at its settle point
 	Admissions        uint64
 	SelfExclusions    uint64
 	// Broadcast-layer counters.
