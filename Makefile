@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test race bench bench-check benchplot fuzz vet fmt experiments fsm examples dashboard-check clean
+.PHONY: all test race bench bench-check fuzz vet fmt experiments fsm examples dashboard-check clean
 
 all: vet test
 
@@ -16,9 +16,6 @@ bench:
 # bench/ is its own module: the root vet/test do not build it.
 bench-check:
 	$(GO) vet -C bench . && $(GO) test -C bench .
-
-benchplot:
-	$(GO) run ./scripts -dir . -out bench_trajectory.svg
 
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire

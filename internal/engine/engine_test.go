@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -255,4 +256,48 @@ func TestThreadedOutOfRangeTypeRoutesToCommand(t *testing.T) {
 	e.Post(Event{Type: EventType(200)})
 	waitHandled(t, e, 1)
 	e.Stop()
+}
+
+// TestPostHandledZeroAllocs pins the dispatch round trip at 0 allocs/op
+// on every engine: an Event travels by value through the queue, so
+// posting one and waiting until it is handled must not touch the heap.
+// The sharded case posts to one of eight engines on a four-shard pool,
+// the fabric's layout of many groups on few cores.
+func TestPostHandledZeroAllocs(t *testing.T) {
+	nop := func(Event) {}
+	loop := NewEventLoop(nop, 4096)
+	defer loop.Stop()
+	threaded := NewThreaded(nop, 512)
+	defer threaded.Stop()
+	pool := NewPool(4, 4096)
+	defer pool.Close()
+	sharded := make([]Engine, 8)
+	for i := range sharded {
+		sharded[i] = pool.Engine(i, nop)
+		defer sharded[i].Stop()
+	}
+
+	n := 0
+	roundTrip := func(e Engine) {
+		n++
+		want := e.Handled() + 1
+		for !e.Post(Event{Type: EventType(n % NumEventTypes)}) {
+			runtime.Gosched()
+		}
+		for e.Handled() < want {
+			runtime.Gosched()
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"event-loop", func() { roundTrip(loop) }},
+		{"threaded", func() { roundTrip(threaded) }},
+		{"sharded", func() { roundTrip(sharded[n%len(sharded)]) }},
+	} {
+		if a := testing.AllocsPerRun(1000, tc.fn); a != 0 {
+			t.Errorf("%s: Post->Handled allocates %.1f per run, want 0", tc.name, a)
+		}
+	}
 }

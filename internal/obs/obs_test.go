@@ -313,6 +313,25 @@ func TestEmitZeroAllocWhenRingEnabled(t *testing.T) {
 	}
 }
 
+// Histograms and counters sit on the same hot paths as Emit and must
+// not allocate either.
+func TestInstrumentsZeroAlloc(t *testing.T) {
+	h := NewHistogram(LatencyBuckets)
+	var c Counter
+	v := int64(0)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Histogram.Observe", func() { v += 997; h.Observe(v) }},
+		{"Counter.Inc", func() { c.Inc() }},
+	} {
+		if a := testing.AllocsPerRun(1000, tc.fn); a != 0 {
+			t.Errorf("%s allocates %.1f per run, want 0", tc.name, a)
+		}
+	}
+}
+
 // --- Registry -----------------------------------------------------------------
 
 func TestRegistryPrometheusFormat(t *testing.T) {

@@ -1,9 +1,9 @@
 // Package scenario is the canonical library of protocol runs used by the
-// integration tests, the twsim/twbench commands and the benchmark
-// harness: group formation, the paper's failure cases (single crash,
-// false suspicion, multiple crashes, partition, crash-recovery-rejoin)
-// and broadcast workloads, each instrumented with the metrics the
-// experiments report.
+// integration tests, the twsim command, twbench's paper tables and the
+// root package's Go benchmarks: group formation, the paper's failure
+// cases (single crash, false suspicion, multiple crashes, partition,
+// crash-recovery-rejoin) and broadcast workloads, each instrumented
+// with the metrics the experiments report.
 package scenario
 
 import (

@@ -181,7 +181,7 @@ func TestDemuxRouteZeroAlloc(t *testing.T) {
 
 // BenchmarkFabricDemux measures the fabric receive hot path: a grouped
 // datagram of 4 frames routed through the demux to its port receiver.
-// Wired into `twbench -json` (cmd/twbench) with a 0-alloc CI gate.
+// TestDemuxRouteZeroAlloc asserts the same path allocates nothing.
 func BenchmarkFabricDemux(b *testing.B) {
 	trunk := &stubTrunk{self: 1}
 	d := NewDemux(trunk)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -116,5 +117,43 @@ func TestBroadcastDeliversAndCountsNothing(t *testing.T) {
 	waitFrames(t, sink, 5)
 	if got := b.SendErrors(); got != 0 {
 		t.Fatalf("SendErrors = %d after clean broadcasts", got)
+	}
+}
+
+// TestSendBatchZeroAllocs pins the batched send path at 0 allocs/op: a
+// four-destination flush reuses the pre-resolved peer sockaddrs and the
+// iovec/mmsghdr arrays. Only the sendmmsg path of 64-bit linux makes
+// that claim; the portable per-datagram loop does not.
+func TestSendBatchZeroAllocs(t *testing.T) {
+	if runtime.GOOS != "linux" || (runtime.GOARCH != "amd64" && runtime.GOARCH != "arm64") {
+		t.Skip("sendmmsg path is linux/amd64 and linux/arm64 only")
+	}
+	const peers = 4
+	addrs := map[model.ProcessID]string{0: "127.0.0.1:0"}
+	for i := 1; i <= peers; i++ {
+		rx, err := NewUDP(model.ProcessID(i), map[model.ProcessID]string{model.ProcessID(i): "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { rx.Close() })
+		rx.SetReceiver(func([]byte) {})
+		addrs[model.ProcessID(i)] = rx.LocalAddr()
+	}
+	tx, err := NewUDP(0, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tx.Close() })
+	payload := make([]byte, 256)
+	msgs := make([]BatchMsg, peers)
+	for i := range msgs {
+		msgs[i] = BatchMsg{To: model.ProcessID(i + 1), Data: payload}
+	}
+	if a := testing.AllocsPerRun(200, func() {
+		if err := tx.SendBatch(msgs); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("SendBatch to %d peers allocates %.1f per run, want 0", peers, a)
 	}
 }

@@ -126,25 +126,39 @@ func bigDecision(entries int) *Decision {
 	}
 }
 
+// TestEncodeDecodeSteadyStateZeroAllocs pins the pooled codec's
+// acceptance criterion, 0 allocs/op at steady state, on each path the
+// node takes per message. bench_test.go times the same fixtures.
 func TestEncodeDecodeSteadyStateZeroAllocs(t *testing.T) {
 	dec := bigDecision(32)
 	frame := Encode(dec)
-	buf := make([]byte, 0, 2*len(frame))
-	if n := testing.AllocsPerRun(200, func() {
-		buf = AppendEncode(buf[:0], dec)
-	}); n != 0 {
-		t.Errorf("AppendEncode: %v allocs/op, want 0", n)
-	}
+	appendBuf := make([]byte, 0, 2*len(frame))
+	tagged, sus, delta := taggedDecision(), gossipSuspicion(), deltaDecision(4)
+	buf := GetBuffer()
+	defer PutBuffer(buf)
 	var dc Decoder
-	if _, err := dc.Decode(frame); err != nil { // warm the scratch
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(200, func() {
+	decode := func(frame []byte) {
 		if _, err := dc.Decode(frame); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Errorf("Decoder.Decode: %v allocs/op, want 0", n)
+	}
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"AppendEncode-decision", func() { appendBuf = AppendEncode(appendBuf[:0], dec) }},
+		{"Decode-decision", func() { decode(frame) }},
+		{"EncodeTo-decision", func() { EncodeTo(buf, dec) }},
+		{"EncodeTo-suspicion", func() { EncodeTo(buf, sus) }},
+		{"EncodeTo-causal-decision", func() { EncodeTo(buf, tagged) }},
+		{"RoundTrip-delta", func() { decode(EncodeTo(buf, delta)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// AllocsPerRun's own warm-up call sizes the buffer and scratch.
+			if n := testing.AllocsPerRun(200, tc.fn); n != 0 {
+				t.Errorf("%v allocs/op, want 0", n)
+			}
+		})
 	}
 }
 
