@@ -182,7 +182,9 @@ func (n *Node) DumpBlackbox(reason string) (string, error) {
 // self-exclusion, invariant violation): rate-limited, asynchronous,
 // and silent when no blackbox directory is configured — the callers
 // run on the event goroutine or inside protocol hooks and must not
-// block on disk I/O.
+// block on disk I/O. Stop waits for the dump it starts, so no bundle is
+// still being written once the node has stopped; a stopped node starts
+// none.
 func (n *Node) triggerBlackbox(reason string) {
 	if n.bboxDir == "" {
 		return
@@ -197,7 +199,16 @@ func (n *Node) triggerBlackbox(reason string) {
 			break
 		}
 	}
-	go n.DumpBlackbox(reason) //nolint:errcheck // best-effort crash artifact
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.stopped {
+		return
+	}
+	n.bboxDumps.Add(1)
+	go func() {
+		defer n.bboxDumps.Done()
+		n.DumpBlackbox(reason) //nolint:errcheck // best-effort crash artifact
+	}()
 }
 
 func writeBlackboxJSON(path string, v any) error {

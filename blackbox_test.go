@@ -245,3 +245,36 @@ func TestBlackboxDisabledAndHTTPTrigger(t *testing.T) {
 		t.Fatalf("healthz = %+v, want healthy with zero violations", h)
 	}
 }
+
+// Stop waits for an automatic dump in flight: right after a guard trip
+// the bundle is complete and nothing is left half written, so a caller
+// may remove the directory as soon as Stop returns.
+func TestStopWaitsForAutomaticDump(t *testing.T) {
+	dir := t.TempDir()
+	nodes, stop := startBlackboxCluster(t, dir)
+	defer stop()
+	nodes[0].triggerBlackbox("guard-trip")
+	nodes[0].Stop()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || !strings.HasPrefix(names[0], blackboxPrefix) || !strings.HasSuffix(names[0], "-guard-trip") {
+		t.Fatalf("after Stop the blackbox directory holds %v, want one complete guard-trip bundle", names)
+	}
+	for _, f := range []string{"meta.json", "events.json", "metrics.prom"} {
+		if _, err := os.Stat(filepath.Join(dir, names[0], f)); err != nil {
+			t.Fatalf("bundle incomplete: %v", err)
+		}
+	}
+	// A stopped node starts no dump.
+	nodes[0].bboxLast.Store(0)
+	nodes[0].triggerBlackbox("guard-trip")
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("a stopped node started a dump: %d entries", len(ents))
+	}
+}

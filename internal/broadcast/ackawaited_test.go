@@ -175,7 +175,7 @@ func TestTimeReleaseAtIsExact(t *testing.T) {
 	if at, ok := m.TimeReleaseAt(); ok {
 		t.Fatalf("a purged update waits for release at %v", at)
 	}
-	h.members[1].delivered[c.ID] = true
+	h.members[1].ids.markDelivered(c.ID)
 	if at, ok := h.members[1].TimeReleaseAt(); ok {
 		t.Fatalf("a delivered update waits for release at %v", at)
 	}

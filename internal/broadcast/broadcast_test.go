@@ -410,20 +410,20 @@ func TestBodyGCAfterTruncation(t *testing.T) {
 	h.now = h.now.Add(2 * h.params.CycleLen())
 	h.rotate()
 	h.rotate()
-	if n := len(h.members[0].pb); n != 0 {
+	if n := bodyCount(h.members[0]); n != 0 {
 		t.Fatalf("bodies not collected: %d", n)
 	}
 	// The delivered mark goes with the descriptor; a straggler duplicate
 	// is rejected as stale instead of being re-delivered.
 	for id, m := range h.members {
-		if n := len(m.delivered); n != 0 {
+		if n := deliveredCount(m); n != 0 {
 			t.Fatalf("p%d keeps %d delivered marks past truncation", id, n)
 		}
 		m.OnProposal(h.tick(), p)
 		if got := h.payloads(id); len(got) != 1 {
 			t.Fatalf("p%d re-delivered a truncated update: %v", id, got)
 		}
-		if len(m.pb) != 0 {
+		if bodyCount(m) != 0 {
 			t.Fatalf("p%d stored a stale body", id)
 		}
 	}
@@ -617,8 +617,8 @@ func deepMember(tb testing.TB, depth int) (*Broadcast, model.Time) {
 	if adopted, missing := b.AdoptDecision(now, dec); !adopted || len(missing) != 0 {
 		tb.Fatalf("setup decision: adopted=%v missing=%v", adopted, missing)
 	}
-	if got := b.Stats().Delivered; got != uint64(depth) || b.view.Len() != depth || len(b.pb) != depth {
-		tb.Fatalf("setup: delivered %d, view %d, bodies %d, want %d each", got, b.view.Len(), len(b.pb), depth)
+	if got := b.Stats().Delivered; got != uint64(depth) || b.view.Len() != depth || bodyCount(b) != depth {
+		tb.Fatalf("setup: delivered %d, view %d, bodies %d, want %d each", got, b.view.Len(), bodyCount(b), depth)
 	}
 	return b, now
 }
@@ -644,7 +644,7 @@ func BenchmarkOnProposalDeep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p.ID.Seq = uint64(i + 1)
 				m.OnProposal(now, p)
-				m.dropBody(p.ID) // keep the pending set at one body
+				m.ids.dropBody(p.ID) // keep the pending set at one body
 			}
 			nsPerOp[depth] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		})
@@ -671,9 +671,10 @@ func TestDeliveredMarksStayBounded(t *testing.T) {
 		}
 		h.decide(model.ProcessID((r + 1) % 3))
 		for _, m := range h.members {
-			deepest = max(deepest, len(m.delivered))
-			if len(m.delivered) > m.view.Len()+len(m.dpd) {
-				t.Fatalf("round %d: %d delivered marks for a view of %d (+%d dpd)", r, len(m.delivered), m.view.Len(), len(m.dpd))
+			marks := deliveredCount(m)
+			deepest = max(deepest, marks)
+			if marks > m.view.Len()+len(m.dpd) {
+				t.Fatalf("round %d: %d delivered marks for a view of %d (+%d dpd)", r, marks, m.view.Len(), len(m.dpd))
 			}
 		}
 	}

@@ -164,7 +164,7 @@ func TestReconcileDropsUnorderedPendingFromDeparted(t *testing.T) {
 	if h.members[0].view.Find(orphan.ID) != nil {
 		t.Fatalf("unorderable proposal entered the view")
 	}
-	if _, still := h.members[0].pb[orphan.ID]; still {
+	if h.members[0].ids.body(orphan.ID) != nil {
 		t.Fatalf("pending body from departed proposer not dropped")
 	}
 	for _, id := range []model.ProcessID{0, 1} {
@@ -184,9 +184,9 @@ func TestReconcileUnknownDependency(t *testing.T) {
 	// decision chain (known only to the doomed p2) assigning ordinals up
 	// to 5: its hdo points past everything the survivors know.
 	strong := h.members[0].Propose(h.tick(), []byte("dangling"), sem(oal.Unordered, oal.StrongAtomicity))
-	h.members[0].pb[strong.ID].HDO = 5
+	h.members[0].ids.body(strong.ID).HDO = 5
 	h.members[1].OnProposal(h.now, strong)
-	h.members[1].pb[strong.ID].HDO = 5
+	h.members[1].ids.body(strong.ID).HDO = 5
 	dec1, _ := h.members[0].BuildDecision(h.tick(), h.group, h.group.Members)
 	h.members[1].AdoptDecision(h.now, dec1)
 	if dec1.OAL.Find(strong.ID).HDO != 5 {
@@ -392,7 +392,7 @@ func TestGapTimeoutJumpsOrdering(t *testing.T) {
 		Payload: []byte("stale"),
 	}
 	h.members[1].OnProposal(h.now, stale)
-	if _, kept := h.members[1].pb[stale.ID]; kept {
+	if h.members[1].ids.body(stale.ID) != nil {
 		t.Fatalf("stale pre-jump body stored")
 	}
 }

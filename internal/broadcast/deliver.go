@@ -52,10 +52,11 @@ func (b *Broadcast) DeferDeliveries(on bool) {
 func (b *Broadcast) deliverFast(now model.Time) {
 	blocked := b.fastQ[:0]
 	for _, id := range b.fastQ {
-		p, ok := b.pb[id]
-		if !ok || b.delivered[id] {
+		r := b.ids.rec(id)
+		if r == nil || r.body == nil || r.delivered {
 			continue
 		}
+		p := r.body
 		d := b.find(id)
 		if b.senderSuppressed(id.Proposer, now) || (d != nil && d.Undeliverable) {
 			blocked = append(blocked, id)
@@ -88,20 +89,24 @@ func (b *Broadcast) deliverOrderedPass(now model.Time) bool {
 	firstUndone := oal.None
 	for i := b.view.Search(b.dcur); i < len(b.view.Entries); i++ {
 		d := &b.view.Entries[i]
-		if d.Kind != oal.UpdateDesc || d.Undeliverable || b.delivered[d.ID] {
+		if d.Kind != oal.UpdateDesc || d.Undeliverable {
+			continue
+		}
+		r := b.ids.rec(d.ID)
+		if r != nil && r.delivered {
 			continue
 		}
 		if d.Ordinal <= b.snapshotCovered {
 			// The join-time snapshot already reflects this update
 			// (adopted from a member whose oal was less truncated than
 			// the snapshot provider's).
-			b.delivered[d.ID] = true
+			b.ids.markDelivered(d.ID)
 			any = true
 			continue
 		}
-		if p, ok := b.pb[d.ID]; ok && !b.senderSuppressed(d.ID.Proposer, now) &&
+		if r != nil && r.body != nil && !b.senderSuppressed(d.ID.Proposer, now) &&
 			b.atomicityOK(d) && b.orderOK(d, totalBlocked) && b.fifoOK(d) {
-			b.deliver(p, d.Ordinal, now)
+			b.deliver(r.body, d.Ordinal, now)
 			any = true
 			continue
 		}
@@ -124,7 +129,7 @@ func (b *Broadcast) deliverOrderedPass(now model.Time) bool {
 }
 
 func (b *Broadcast) deliver(p *wire.Proposal, ord oal.Ordinal, now model.Time) {
-	b.delivered[p.ID] = true
+	b.ids.markDelivered(p.ID)
 	b.stats.Delivered++
 	b.cfg.OnDeliver(Delivery{
 		ID:      p.ID,
@@ -200,7 +205,7 @@ func (b *Broadcast) orderOK(d *oal.Descriptor, totalBlocked bool) bool {
 			if e.Kind != oal.UpdateDesc || e.Sem.Order != oal.TimeOrder || e.Ordinal == d.Ordinal {
 				continue
 			}
-			if timeOrderLess(e, d) && !e.Undeliverable && !b.delivered[e.ID] {
+			if timeOrderLess(e, d) && !e.Undeliverable && !b.ids.delivered(e.ID) {
 				return false
 			}
 		}

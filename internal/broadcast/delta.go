@@ -41,12 +41,12 @@ import (
 // lowest ordinal changed after it, and building or adopting a decision
 // costs work over the changed entries, not over the view.
 //
-// Elections and membership changes force the next decision full, and a
-// process that has shipped deltas only for fullEvery-1 idle decision
-// intervals ships a full one regardless, bounding how long a lost
-// baseline can stall a member.
-
-const defaultFullOALEvery = 8
+// Elections and membership changes force the next decision full, and so
+// does a peer's OALReq. Nothing else does: a member that lost its
+// baseline asks for one (a round trip), instead of every member shipping
+// and adopting the whole retained oal on a cadence — at a high ordering
+// rate that list holds thousands of descriptors, and a periodic full copy
+// of it would cost more than all the deltas between.
 
 // The baseline ring remembers the freshest few decisions, and its size
 // bounds how far back a delta may reach: a receiver that missed up to
@@ -76,7 +76,7 @@ const noOrdinal = ^oal.Ordinal(0)
 // deltaEligible reports whether the next outgoing decision/no-decision
 // may be delta-encoded against the retained baselines.
 func (b *Broadcast) deltaEligible() bool {
-	return b.fullEvery >= 0 && !b.forceFull && !b.pristineLost && len(b.baseRing) > 0
+	return !b.deltaOff && !b.forceFull && !b.pristineLost && len(b.baseRing) > 0
 }
 
 // ForceFullOAL makes this process's next decision carry the full oal.
@@ -171,23 +171,11 @@ func (b *Broadcast) changedSince(base *baseline, local bool) []oal.Descriptor {
 	return delta
 }
 
-// fullDue reports whether a decision sent at ts must carry the full oal
-// because this process has shipped deltas only for too long. The bound
-// is fullEvery-1 idle decision intervals of this process — one rotation
-// of D/2 holds each, less half an interval for timer and clock jitter —
-// so in an idle group every fullEvery-th decision of a process is full,
-// and the cadence does not rise with the decision rate when deciders
-// stop waiting out their holds.
-func (b *Broadcast) fullDue(ts model.Time) bool {
-	interval := model.Duration(max(b.group.Size(), 1)) * b.params.D / 2
-	return 2*ts.Sub(b.lastFullTS) >= model.Duration(2*b.fullEvery-3)*interval
-}
-
 // encodeDelta fills dec's oal in delta form against the oldest retained
 // baseline when eligible and profitable. It returns whether it did; the
 // caller ships the full oal otherwise.
 func (b *Broadcast) encodeDelta(dec *wire.Decision) bool {
-	if !b.deltaEligible() || b.fullDue(dec.SendTS) {
+	if !b.deltaEligible() {
 		return false
 	}
 	base := &b.baseRing[0] // oldest: tolerates receivers a few decisions behind

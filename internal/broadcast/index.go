@@ -15,12 +15,13 @@ import (
 // in between only ack bits, stability stamps and purge marks are added.
 // Everything below indexes into that window instead of rescanning it:
 //
-//   - ordOf (id -> ordinal) and oal.List.Search (ordinal -> position)
-//     replace the linear List.Find;
-//   - pend is the set of bodies the view does not order yet, fastQ the
-//     undelivered unordered/weak bodies, bodiless the ordered updates
-//     whose body is missing — the three things the old code found by
-//     walking the whole proposal buffer or the whole view;
+//   - the ID table's ordinals (id -> ordinal, ids.go) and
+//     oal.List.Search (ordinal -> position) replace the linear
+//     List.Find;
+//   - the table's pending lists hold the bodies the view does not order
+//     yet, fastQ the undelivered unordered/weak bodies, bodiless the
+//     ordered updates whose body is missing — the three things the old
+//     code found by walking the whole proposal buffer or the whole view;
 //   - dcur is the delivery cursor: every descriptor below it is delivered,
 //     purged or a membership change, so a delivery pass starts there;
 //   - ackFail[k] is the first ordinal whose update lacks a majority
@@ -74,8 +75,8 @@ const (
 // posOf returns the position in view.Entries of the update descriptor
 // for id, or -1 when the view does not order it.
 func (b *Broadcast) posOf(id oal.ProposalID) int {
-	ord, ok := b.ordOf[id]
-	if !ok {
+	ord := b.ids.ordinal(id)
+	if ord == oal.None {
 		return -1
 	}
 	if i := b.view.Search(ord); i < len(b.view.Entries) && b.view.Entries[i].Ordinal == ord {
@@ -90,12 +91,6 @@ func (b *Broadcast) find(id oal.ProposalID) *oal.Descriptor {
 		return &b.view.Entries[i]
 	}
 	return nil
-}
-
-// dropBody removes a body from the proposal buffer.
-func (b *Broadcast) dropBody(id oal.ProposalID) {
-	delete(b.pb, id)
-	delete(b.pend, id)
 }
 
 // queueFast adds id to the fast-path candidates, kept in (proposer,
@@ -151,7 +146,7 @@ func (b *Broadcast) refreshOwnAcks() {
 			continue
 		}
 		d := &b.view.Entries[i]
-		if _, ok := b.pb[d.ID]; ok && d.Kind == oal.UpdateDesc && !d.Undeliverable {
+		if d.Kind == oal.UpdateDesc && !d.Undeliverable && b.ids.body(d.ID) != nil {
 			b.stampOwnAck(i)
 		}
 	}
@@ -171,31 +166,30 @@ func (b *Broadcast) noteDescriptor(pos int) {
 	if d.Kind != oal.UpdateDesc {
 		return
 	}
-	b.ordOf[d.ID] = d.Ordinal
-	delete(b.pend, d.ID)
-	_, have := b.pb[d.ID]
+	r := b.ids.setOrdinal(d.ID, d.Ordinal)
+	have, delivered := r.body != nil, r.delivered
 	if d.Undeliverable {
 		// Purge the body of an update the decider marked undeliverable,
 		// and make sure it is never delivered.
 		if have {
-			if !b.delivered[d.ID] {
+			if !delivered {
 				b.stats.Purged++
 			}
-			b.dropBody(d.ID)
+			b.ids.dropBody(d.ID)
 		}
 		return
 	}
-	if d.Sem.Order == oal.TimeOrder && !b.delivered[d.ID] {
+	if d.Sem.Order == oal.TimeOrder && !delivered {
 		b.queueRelease(d)
 	}
 	if have {
 		b.stampOwnAck(pos)
-	} else if !b.delivered[d.ID] {
+	} else if !delivered {
 		if i, found := slices.BinarySearch(b.bodiless, d.Ordinal); !found {
 			b.bodiless = slices.Insert(b.bodiless, i, d.Ordinal)
 		}
 	}
-	if !b.delivered[d.ID] && d.Ordinal < b.dcur {
+	if !delivered && d.Ordinal < b.dcur {
 		b.dcur = d.Ordinal
 	}
 	for k, need := range b.ackNeeds() {
@@ -243,7 +237,7 @@ func (b *Broadcast) dropReleased() {
 		}
 		d := &b.view.Entries[i]
 		if d.Kind == oal.UpdateDesc && d.Sem.Order == oal.TimeOrder && !d.Undeliverable &&
-			!b.delivered[d.ID] && b.settleAt(d) == m.at {
+			!b.ids.delivered(d.ID) && b.settleAt(d) == m.at {
 			break
 		}
 	}
@@ -255,13 +249,11 @@ func (b *Broadcast) forget(d *oal.Descriptor) {
 	if d.Kind != oal.UpdateDesc {
 		return
 	}
-	if b.delivered[d.ID] {
-		delete(b.delivered, d.ID)
+	if b.ids.delivered(d.ID) {
 		delete(b.termination, d.ID)
 	}
-	delete(b.ordOf, d.ID)
 	delete(b.nackAt, d.ID)
-	b.dropBody(d.ID)
+	b.ids.forget(d.ID)
 }
 
 // forgetHead finishes a truncation of the view's head: removed is what
@@ -316,10 +308,10 @@ func (b *Broadcast) replaceView(incoming *oal.List, ts model.Time, sameSpace boo
 		}
 		if sameSpace && d.Ordinal < trunc {
 			b.forget(d)
-		} else if b.delivered[d.ID] {
+		} else if b.ids.delivered(d.ID) {
 			// Displaced, not truncated: the update may be ordered again,
 			// so the delivered mark stays; its body has served.
-			b.dropBody(d.ID)
+			b.ids.dropBody(d.ID)
 		}
 	}
 	b.pristineLost = false
@@ -329,8 +321,7 @@ func (b *Broadcast) replaceView(incoming *oal.List, ts model.Time, sameSpace boo
 // reindex rebuilds the index, the candidate lists and the cursors from
 // the view, the proposal buffer and the delivered set.
 func (b *Broadcast) reindex() {
-	clear(b.ordOf)
-	clear(b.pend)
+	b.ids.clearOrdinals()
 	b.bodiless = b.bodiless[:0]
 	b.ackDebt = b.ackDebt[:0]
 	b.ownAcked = b.ownAcked[:0]
@@ -343,15 +334,15 @@ func (b *Broadcast) reindex() {
 			b.ownAcked = append(b.ownAcked, b.view.Entries[i].Ordinal)
 		}
 	}
-	for id, p := range b.pb {
-		b.pend[id] = p
-		if p.Sem.Order == oal.Unordered && p.Sem.Atomicity == oal.WeakAtomicity && !b.delivered[id] {
+	for id, r := range b.ids.all() {
+		if p := r.body; p != nil && p.Sem.Order == oal.Unordered && p.Sem.Atomicity == oal.WeakAtomicity && !r.delivered {
 			b.queueFast(id)
 		}
 	}
 	for i := range b.view.Entries {
 		b.noteDescriptor(i)
 	}
+	b.ids.tidy()
 	b.orderedDirty = true
 }
 

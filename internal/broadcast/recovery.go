@@ -1,8 +1,6 @@
 package broadcast
 
 import (
-	"sort"
-
 	"timewheel/internal/model"
 	"timewheel/internal/oal"
 	"timewheel/internal/wire"
@@ -55,7 +53,7 @@ func (b *Broadcast) CoveredOrdinal() oal.Ordinal {
 			if d.Ordinal != covered+1 {
 				break
 			}
-			if d.Kind == oal.MembershipDesc || d.Undeliverable || b.delivered[d.ID] {
+			if d.Kind == oal.MembershipDesc || d.Undeliverable || b.ids.delivered(d.ID) {
 				covered = d.Ordinal
 				continue
 			}
@@ -96,7 +94,7 @@ func (b *Broadcast) SnapshotImage() Image {
 	}
 	for i := range b.view.Entries {
 		d := &b.view.Entries[i]
-		if d.Kind == oal.UpdateDesc && d.Ordinal > img.Covered && b.delivered[d.ID] {
+		if d.Kind == oal.UpdateDesc && d.Ordinal > img.Covered && b.ids.delivered(d.ID) {
 			img.Extra = append(img.Extra, ImageExtra{ID: d.ID, Ordinal: d.Ordinal})
 		}
 	}
@@ -104,10 +102,7 @@ func (b *Broadcast) SnapshotImage() Image {
 	for _, id := range b.dpd {
 		img.Extra = append(img.Extra, ImageExtra{ID: id, Ordinal: oal.None})
 	}
-	for p, s := range b.orderedSeq {
-		img.FIFO = append(img.FIFO, wire.FIFOEntry{Proposer: p, Seq: s})
-	}
-	sort.Slice(img.FIFO, func(i, j int) bool { return img.FIFO[i].Proposer < img.FIFO[j].Proposer })
+	img.FIFO = b.ids.fifo()
 	return img
 }
 
@@ -125,13 +120,11 @@ func (b *Broadcast) SeedRecovered(img Image) {
 		b.maxSettledTimeTS = img.SettledTS
 	}
 	for _, x := range img.Extra {
-		b.delivered[x.ID] = true
+		b.ids.markDelivered(x.ID)
 	}
 	b.orderedDirty = true
 	for _, f := range img.FIFO {
-		if f.Seq > b.orderedSeq[f.Proposer] {
-			b.orderedSeq[f.Proposer] = f.Seq
-		}
+		b.ids.raiseOrdered(f.Proposer, f.Seq)
 		if f.Proposer == b.self && f.Seq > b.nextSeq {
 			b.nextSeq = f.Seq
 		}

@@ -25,9 +25,11 @@ func refTryDeliver(b *Broadcast, now model.Time) {
 }
 
 func refDeliverFast(b *Broadcast, now model.Time) {
-	ids := make([]oal.ProposalID, 0, len(b.pb))
-	for id := range b.pb {
-		ids = append(ids, id)
+	var ids []oal.ProposalID
+	for id, r := range b.ids.all() {
+		if r.body != nil {
+			ids = append(ids, id)
+		}
 	}
 	sort.Slice(ids, func(i, j int) bool {
 		if ids[i].Proposer != ids[j].Proposer {
@@ -36,8 +38,8 @@ func refDeliverFast(b *Broadcast, now model.Time) {
 		return ids[i].Seq < ids[j].Seq
 	})
 	for _, id := range ids {
-		p := b.pb[id]
-		if b.delivered[id] {
+		p := b.ids.body(id)
+		if b.ids.delivered(id) {
 			continue
 		}
 		if p.Sem.Order != oal.Unordered || p.Sem.Atomicity != oal.WeakAtomicity {
@@ -66,16 +68,16 @@ func refDeliverOrderedPass(b *Broadcast, now model.Time) bool {
 	any := false
 	for i := range b.view.Entries {
 		d := &b.view.Entries[i]
-		if d.Kind != oal.UpdateDesc || d.Undeliverable || b.delivered[d.ID] {
+		if d.Kind != oal.UpdateDesc || d.Undeliverable || b.ids.delivered(d.ID) {
 			continue
 		}
 		if d.Ordinal != oal.None && d.Ordinal <= b.snapshotCovered {
-			b.delivered[d.ID] = true
+			b.ids.markDelivered(d.ID)
 			any = true
 			continue
 		}
-		p, ok := b.pb[d.ID]
-		if !ok {
+		p := b.ids.body(d.ID)
+		if p == nil {
 			continue
 		}
 		if b.senderSuppressed(d.ID.Proposer, now) {
@@ -139,7 +141,7 @@ func refOrderOK(b *Broadcast, d *oal.Descriptor) bool {
 			if e.Kind != oal.UpdateDesc || e.Sem.Order != oal.TotalOrder {
 				continue
 			}
-			if !e.Undeliverable && !b.delivered[e.ID] {
+			if !e.Undeliverable && !b.ids.delivered(e.ID) {
 				return false
 			}
 		}
@@ -153,7 +155,7 @@ func refOrderOK(b *Broadcast, d *oal.Descriptor) bool {
 			if e.Kind != oal.UpdateDesc || e.Sem.Order != oal.TimeOrder || e.Ordinal == d.Ordinal {
 				continue
 			}
-			if timeOrderLess(e, d) && !e.Undeliverable && !b.delivered[e.ID] {
+			if timeOrderLess(e, d) && !e.Undeliverable && !b.ids.delivered(e.ID) {
 				return false
 			}
 		}
@@ -172,7 +174,7 @@ func refFifoOK(b *Broadcast, d *oal.Descriptor) bool {
 		if e.Sem.Order == oal.Unordered {
 			continue
 		}
-		if !e.Undeliverable && !b.delivered[e.ID] {
+		if !e.Undeliverable && !b.ids.delivered(e.ID) {
 			return false
 		}
 	}

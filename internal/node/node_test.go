@@ -597,3 +597,57 @@ func TestClusterWithRoundTripSync(t *testing.T) {
 		t.Fatalf("recovery failed with round-trip sync")
 	}
 }
+
+// A failure-free group ships no full oal on a cadence. Once every member
+// has decided in the formed, loaded group, its count of full decisions
+// stays where it was however long the load lasts, while its delta
+// decisions keep growing: only elections, membership changes and a
+// peer's OALReq force a full oal, and a failure-free group has none. (An
+// idle group's decisions carry the empty oal whole: a delta would be no
+// smaller.)
+func TestLoadedGroupShipsNoPeriodicFullOAL(t *testing.T) {
+	const n = 5
+	c := perfectCluster(n, 4)
+	c.Start()
+	c.Run(cycles(c, 4))
+	if !formed(c, []model.ProcessID{0, 1, 2, 3, 4}) {
+		t.Fatalf("formation failed")
+	}
+	sem := oal.Semantics{Order: oal.TotalOrder, Atomicity: oal.StrongAtomicity}
+	proposed := 0
+	load := func(cycles int) {
+		for s := 0; s < cycles*n; s++ {
+			for k := 0; k < 4; k++ {
+				if !c.Node(model.ProcessID(proposed%n)).Propose([]byte("update"), sem) {
+					t.Fatalf("p%d refused a proposal", proposed%n)
+				}
+				proposed++
+			}
+			c.Run(c.Params.SlotLen())
+		}
+	}
+	load(1) // every member decides in the formed group
+	full := make([]uint64, n)
+	delta := make([]uint64, n)
+	for i, nd := range c.Nodes {
+		st := nd.Broadcast().Stats()
+		full[i], delta[i] = st.DecisionsFull, st.DecisionsDelta
+	}
+	const loaded = 40
+	load(loaded)
+	for i, nd := range c.Nodes {
+		st := nd.Broadcast().Stats()
+		if st.DecisionsFull != full[i] {
+			t.Errorf("p%d shipped %d full oals in %d loaded failure-free cycles", nd.ID, st.DecisionsFull-full[i], loaded)
+		}
+		if st.DecisionsDelta < delta[i]+loaded {
+			t.Errorf("p%d shipped %d delta decisions in %d cycles, want at least one a cycle", nd.ID, st.DecisionsDelta-delta[i], loaded)
+		}
+	}
+	c.Run(cycles(c, 4))
+	for _, nd := range c.Nodes {
+		if got := nd.Broadcast().Stats().Delivered; got != uint64(proposed) {
+			t.Errorf("p%d delivered %d of %d updates", nd.ID, got, proposed)
+		}
+	}
+}

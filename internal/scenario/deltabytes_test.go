@@ -68,7 +68,7 @@ func runDecisionLoad(t *testing.T, fullOALEvery int) (decBytes uint64, maxWindow
 // bytes-on-wire of the always-full baseline.
 func TestDeltaDecisionBytes(t *testing.T) {
 	fullBytes, fullWindow := runDecisionLoad(t, -1)  // delta disabled
-	deltaBytes, deltaWindow := runDecisionLoad(t, 0) // default cadence
+	deltaBytes, deltaWindow := runDecisionLoad(t, 0) // deltas on
 	t.Logf("full-oal: %d decision bytes (window ≤%d); delta: %d decision bytes (window ≤%d)",
 		fullBytes, fullWindow, deltaBytes, deltaWindow)
 	if fullWindow < 32 || deltaWindow < 32 {

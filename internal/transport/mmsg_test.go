@@ -157,3 +157,27 @@ func TestSendBatchZeroAllocs(t *testing.T) {
 		t.Errorf("SendBatch to %d peers allocates %.1f per run, want 0", peers, a)
 	}
 }
+
+// A datagram over the IPv4 UDP payload limit (65 507 B) cannot be sent:
+// it is counted as a send error, like any omission, and nothing reaches
+// the peer. A frame must therefore stay under that limit to be sent at
+// all, which is what bounds a decision's oal.
+func TestOversizeDatagramIsASendError(t *testing.T) {
+	_, b, sink := udpPair(t)
+
+	if err := b.Broadcast(make([]byte, maxDatagram)); err != nil {
+		t.Fatalf("Broadcast: %v", err)
+	}
+	if err := b.Broadcast([]byte("small")); err != nil {
+		t.Fatalf("Broadcast: %v", err)
+	}
+	waitFrames(t, sink, 1)
+	if got := b.SendErrors(); got != 1 {
+		t.Fatalf("SendErrors = %d, want 1 (the oversize datagram)", got)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.frames) != 1 || string(sink.frames[0]) != "small" {
+		t.Fatalf("received %d frames, want only the small one", len(sink.frames))
+	}
+}
