@@ -40,24 +40,16 @@ func startBlackboxCluster(t *testing.T, dir string) ([]*Node, func()) {
 		}
 		hub.Close()
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		all := true
-		for _, nd := range nodes {
-			if v, ok := nd.CurrentView(); !ok || len(v.Members) != 3 {
-				all = false
-				break
-			}
-		}
-		if all {
-			return nodes, stop
-		}
-		if time.Now().After(deadline) {
+	defer func() {
+		if t.Failed() {
 			stop()
-			t.Fatal("cluster never formed a full view")
 		}
-		time.Sleep(2 * time.Millisecond)
+	}()
+	waitStable(t, nodes, 2)
+	if v, _ := nodes[0].CurrentView(); len(v.Members) != 3 {
+		t.Fatalf("cluster settled on %v, not a full view", v)
 	}
+	return nodes, stop
 }
 
 func TestBlackboxDump(t *testing.T) {

@@ -129,14 +129,10 @@ func TestStallSelfExclusionAndWarmRejoin(t *testing.T) {
 		v, ok := nd.CurrentView()
 		return ok && len(v.Members) == n
 	}
-	waitFor(t, 15*time.Second, "formation", func() bool {
-		for _, nd := range nodes {
-			if !fullView(nd) {
-				return false
-			}
-		}
-		return true
-	})
+	waitStable(t, nodes, 2)
+	if !fullView(nodes[0]) {
+		t.Fatal("cluster settled on a partial view")
+	}
 
 	// Put some deliveries on the books so the victim has real coverage
 	// to advertise when it rejoins.
@@ -163,6 +159,7 @@ func TestStallSelfExclusionAndWarmRejoin(t *testing.T) {
 		}
 		return true
 	})
+	waitStable(t, nodes, 1)
 
 	// Warm rejoin: some current member served a delta (not a full
 	// snapshot) because the victim's join advertised its coverage.

@@ -1,12 +1,14 @@
-// Package node assembles a complete timewheel process — synchronized
-// clock, failure detector, group creator, and atomic broadcast — on top
-// of the deterministic simulation kernel, and groups N of them into a
-// Cluster wired through the simulated datagram network.
+// Package node is the simulator adapter over the process core
+// (internal/core): it runs each core on the deterministic simulation
+// kernel with a drifting, synchronized clock, sim.Sim timers and the
+// simulated datagram network, adds crash and recovery, records every
+// node's deliveries, views, state changes and decider tenures, and
+// groups N nodes into a Cluster.
 //
 // This is the execution substrate for the integration tests, the
-// scenario library, the examples and the benchmark harness. The same
-// protocol state machines also run in real time over UDP (package
-// timewheel at the module root).
+// scenario library and the examples. The same core runs in real time
+// over UDP or the memory hub behind package timewheel at the module
+// root.
 package node
 
 import (
@@ -16,6 +18,7 @@ import (
 	"timewheel/internal/adapt"
 	"timewheel/internal/broadcast"
 	"timewheel/internal/clock"
+	"timewheel/internal/core"
 	"timewheel/internal/csync"
 	"timewheel/internal/durable"
 	"timewheel/internal/fdetect"
@@ -144,8 +147,9 @@ type Node struct {
 	adj  *clock.Adjusted
 	sync *csync.Service
 
-	bc      *broadcast.Broadcast
-	machine *member.Machine
+	// Core is the process itself: broadcast, membership and the durable
+	// binding, rebuilt on every recovery.
+	*core.Core
 
 	timers  map[member.TimerID]*sim.Timer
 	crashed bool
@@ -157,10 +161,8 @@ type Node struct {
 	// Incarnation counts crash/recovery cycles.
 	Incarnation int
 
-	// store is the node's durable store (nil without Options.DataDir);
-	// sinceSnap counts logged deliveries since the last snapshot.
-	store     *durable.Store
-	sinceSnap int
+	// store is the node's durable store (nil without Options.DataDir).
+	store *durable.Store
 
 	// Installs counts full state-transfer installs — a warm (delta)
 	// rejoin must not bump it.
@@ -234,12 +236,10 @@ func (c *Cluster) newNode(id model.ProcessID) *Node {
 		n.adj = clock.NewAdjusted(n.hw)
 		n.sync = csync.New(id, c.Params, csync.DefaultConfig(c.Params), n.adj)
 	}
-	rec := n.openStore()
-	n.buildStack()
-	n.applyRecovery(rec)
+	n.boot()
 	c.Net.Register(id, func(m wire.Message) {
 		if !n.crashed {
-			n.machine.OnMessage(m)
+			n.Machine().OnMessage(m)
 		}
 	})
 	return n
@@ -263,184 +263,95 @@ func (n *Node) openStore() *durable.Recovery {
 	return rec
 }
 
-// applyRecovery rebuilds the node's application and delivery state from
-// what the durable store recovered: the snapshot is the base, the
-// logged updates are re-applied on top, and the broadcast layer is
-// seeded so nothing recovered is ever re-delivered — and so the join
-// message advertises the recovered coverage for a delta rejoin.
-func (n *Node) applyRecovery(rec *durable.Recovery) {
-	if rec == nil || rec.Empty() {
-		return
-	}
-	if rec.HaveSnapshot {
-		n.appState = append([]byte(nil), rec.AppState...)
-	}
-	img := broadcast.Image{
-		Lineage:   rec.Lineage(),
-		Covered:   rec.AdvertisedCoverage(),
-		SettledTS: rec.Meta.SettledTS,
-	}
-	for _, x := range rec.Meta.Extra {
-		img.Extra = append(img.Extra, broadcast.ImageExtra{ID: x.ID, Ordinal: x.Ordinal})
-	}
-	for _, u := range rec.Updates {
-		n.appState = append(n.appState, u.Payload...)
-		n.appState = append(n.appState, ';')
-		img.Extra = append(img.Extra, broadcast.ImageExtra{ID: u.ID, Ordinal: u.Ordinal})
-	}
-	for _, f := range rec.Meta.FIFO {
-		img.FIFO = append(img.FIFO, wire.FIFOEntry{Proposer: f.Proposer, Seq: f.Next})
-	}
-	n.bc.SeedRecovered(img)
-}
-
-// writeSnapshot persists the application state with the broadcast
-// layer's matching delivery image and prunes the log behind it.
-func (n *Node) writeSnapshot() {
-	if n.store == nil {
-		return
-	}
-	img := n.bc.SnapshotImage()
-	meta := durable.SnapshotMeta{Lineage: img.Lineage, Covered: img.Covered, SettledTS: img.SettledTS}
-	for _, x := range img.Extra {
-		meta.Extra = append(meta.Extra, durable.ExtraEntry{ID: x.ID, Ordinal: x.Ordinal})
-	}
-	for _, f := range img.FIFO {
-		meta.FIFO = append(meta.FIFO, durable.FIFOCursor{Proposer: f.Proposer, Next: f.Seq})
-	}
-	n.store.WriteSnapshot(meta, append([]byte(nil), n.appState...)) //nolint:errcheck // in-model omission
-	n.sinceSnap = 0
-}
-
-// buildStack creates fresh broadcast and membership layers (initial boot
-// and crash recovery).
-func (n *Node) buildStack() {
+// boot assembles a fresh process over the simulated environment
+// (initial boot and crash recovery) and rebuilds its state from what
+// the durable store recovered. Recovered updates rebuild the
+// application state only: they are not deliveries of this incarnation,
+// so Deliveries does not list them.
+func (n *Node) boot() {
+	rec := n.openStore()
 	snapEvery := n.cluster.Opts.SnapshotEvery
 	if snapEvery <= 0 {
 		snapEvery = 64
 	}
-	bcfg := broadcast.Config{
-		FullOALEvery: n.cluster.Opts.FullOALEvery,
-		OnDeliver: func(d broadcast.Delivery) {
-			if n.store != nil {
-				n.store.AppendUpdate(durable.UpdateRecord{ //nolint:errcheck
-					ID: d.ID, Ordinal: d.Ordinal, Sem: d.Sem, SendTS: d.SendTS, Payload: d.Payload,
+	n.Core = core.New(core.Config{
+		ID:     n.ID,
+		Params: n.cluster.Params,
+		Env:    (*nodeEnv)(n),
+		Broadcast: broadcast.Config{
+			FullOALEvery: n.cluster.Opts.FullOALEvery,
+			OnDeliver: func(d broadcast.Delivery) {
+				n.Deliveries = append(n.Deliveries, DeliveryRecord{
+					Delivery: d, At: n.cluster.Sim.Now(), Incarnation: n.Incarnation,
 				})
-			}
-			n.Deliveries = append(n.Deliveries, DeliveryRecord{
-				Delivery: d, At: n.cluster.Sim.Now(), Incarnation: n.Incarnation,
-			})
-			n.appState = append(n.appState, d.Payload...)
-			n.appState = append(n.appState, ';')
-			if n.store != nil {
-				if n.sinceSnap++; n.sinceSnap >= snapEvery {
-					n.writeSnapshot()
-				}
-			}
-		},
-		Snapshot: func() []byte { return append([]byte(nil), n.appState...) },
-		Install: func(b []byte) {
-			n.appState = append([]byte(nil), b...)
-			n.Installs++
-			// A full transfer rebases the application state: snapshot it
-			// with the matching delivery image so the log restarts clean.
-			n.writeSnapshot()
-		},
-	}
-	if n.store != nil {
-		bcfg.OnLineage = func(lin model.GroupSeq) {
-			// A lineage boundary restarts the ordinal space: mark it in
-			// the log (recovery then knows post-boundary ordinals are
-			// incomparable with the snapshot's) and drop the replay tail.
-			n.store.AppendView(durable.ViewRecord{Lineage: lin, Ordinal: oal.None}) //nolint:errcheck
-			n.store.ResetTail(0)
-		}
-		bcfg.ReplaySince = func(since oal.Ordinal) ([]wire.ReplayEntry, bool) {
-			recs, ok := n.store.ReplaySince(since)
-			if !ok {
-				return nil, false
-			}
-			out := make([]wire.ReplayEntry, 0, len(recs))
-			for _, u := range recs {
-				out = append(out, wire.ReplayEntry{
-					ID: u.ID, Ordinal: u.Ordinal, Sem: u.Sem, SendTS: u.SendTS, Payload: u.Payload,
-				})
-			}
-			return out, true
-		}
-	}
-	n.bc = broadcast.New(n.ID, n.cluster.Params, bcfg)
-	n.machine = member.New(n.ID, n.cluster.Params, member.Config{
-		DeciderHold:     n.cluster.Opts.DeciderHold,
-		DisableFastPath: n.cluster.Opts.DisableFastPath,
-		Surveillance:    surveil.Config{K: n.cluster.Opts.SurveillanceK},
-		Hooks: member.Hooks{
-			StateChange: func(from, to member.State, _ model.Time) {
-				n.StateLog = append(n.StateLog, StateRecord{From: from, To: to, At: n.cluster.Sim.Now()})
-				if to == member.StateJoin && from != member.StateJoin {
-					// Exclusion wiped the protocol state (resetForJoin):
-					// deliveries after the rejoin are a new epoch, rebased
-					// by the join-time state transfer.
-					n.Incarnation++
-				}
+				n.applyUpdate(d)
 			},
-			ViewChange: func(g model.Group, _ model.Time) {
-				n.Views = append(n.Views, ViewRecord{Group: g, At: n.cluster.Sim.Now()})
-				if n.store != nil {
-					// Membership descriptors occupy ordinals; logging the
-					// view with its ordinal lets recovery count it toward
-					// contiguous coverage.
-					n.store.AppendView(durable.ViewRecord{ //nolint:errcheck
-						Seq:     g.Seq,
-						Members: append([]model.ProcessID(nil), g.Members...),
-						Ordinal: n.bc.MembershipOrdinal(g.Seq),
-						Lineage: n.bc.Lineage(),
-					})
-				}
-			},
-			Decider: func(isDecider bool, _ model.Time) {
-				at := n.cluster.Sim.Now()
-				if isDecider {
-					n.DeciderLog = append(n.DeciderLog, DeciderRecord{Start: at})
-					n.deciderSent = n.machine.Stats().DecisionsSent
-				} else if k := len(n.DeciderLog) - 1; k >= 0 && n.DeciderLog[k].End == 0 {
-					n.DeciderLog[k].End = at
-					n.DeciderLog[k].Sent = n.machine.Stats().DecisionsSent > n.deciderSent
-				}
-			},
-			WireEvent: func(dir member.WireDir, kind wire.Kind, peer model.ProcessID, ctx wire.Causal, at model.Time) {
-				if n.cluster.Opts.RecordWire {
-					n.WireLog = append(n.WireLog, WireRecord{Dir: dir, Kind: kind, Peer: peer, Ctx: ctx, At: at})
-				}
+			Snapshot: n.AppState,
+			Install: func(b []byte) {
+				n.appState = append([]byte(nil), b...)
+				n.Installs++
 			},
 		},
-	}, (*nodeEnv)(n), n.bc)
+		Member: member.Config{
+			DeciderHold:     n.cluster.Opts.DeciderHold,
+			DisableFastPath: n.cluster.Opts.DisableFastPath,
+			Surveillance:    surveil.Config{K: n.cluster.Opts.SurveillanceK},
+			Hooks:           n.hooks(),
+		},
+		Store:         n.store,
+		SnapshotEvery: snapEvery,
+	})
 	if n.cluster.Opts.Adaptive {
-		n.machine.Detector().EnableAdaptive(
-			simDelayAdapter{adapt.NewDelayEstimator(adapt.Config{})},
-			fdetect.AdaptiveConfig{},
-		)
+		n.EnableAdaptive(adapt.NewDelayEstimator(adapt.Config{}), fdetect.AdaptiveConfig{})
 	}
+	n.Restore(rec, func(b []byte) { n.appState = append([]byte(nil), b...) }, n.applyUpdate)
 }
 
-// simDelayAdapter lifts adapt.DelayEstimator (time.Duration, int peers)
-// to fdetect.DelayEstimator (model units, ProcessID peers) — the sim
-// twin of the live node's adapter in the root package.
-type simDelayAdapter struct{ est *adapt.DelayEstimator }
-
-func (a simDelayAdapter) Observe(peer model.ProcessID, d model.Duration) {
-	a.est.Observe(int(peer), d.Std())
+// applyUpdate appends one delivered update to the toy application
+// state.
+func (n *Node) applyUpdate(d broadcast.Delivery) {
+	n.appState = append(n.appState, d.Payload...)
+	n.appState = append(n.appState, ';')
 }
 
-func (a simDelayAdapter) Bound(peer model.ProcessID) (model.Duration, bool) {
-	b, ok := a.est.Bound(int(peer))
-	return model.FromStd(b), ok
+// hooks records the node's state changes, views, decider tenures and
+// (with Options.RecordWire) wire events.
+func (n *Node) hooks() member.Hooks {
+	return member.Hooks{
+		StateChange: func(from, to member.State, _ model.Time) {
+			n.StateLog = append(n.StateLog, StateRecord{From: from, To: to, At: n.cluster.Sim.Now()})
+			if to == member.StateJoin && from != member.StateJoin {
+				// Exclusion wiped the protocol state (resetForJoin):
+				// deliveries after the rejoin are a new epoch, rebased
+				// by the join-time state transfer.
+				n.Incarnation++
+			}
+		},
+		ViewChange: func(g model.Group, _ model.Time) {
+			n.Views = append(n.Views, ViewRecord{Group: g, At: n.cluster.Sim.Now()})
+		},
+		Decider: func(isDecider bool, _ model.Time) {
+			at := n.cluster.Sim.Now()
+			if isDecider {
+				n.DeciderLog = append(n.DeciderLog, DeciderRecord{Start: at})
+				n.deciderSent = n.Machine().Stats().DecisionsSent
+			} else if k := len(n.DeciderLog) - 1; k >= 0 && n.DeciderLog[k].End == 0 {
+				n.DeciderLog[k].End = at
+				n.DeciderLog[k].Sent = n.Machine().Stats().DecisionsSent > n.deciderSent
+			}
+		},
+		WireEvent: func(dir member.WireDir, kind wire.Kind, peer model.ProcessID, ctx wire.Causal, at model.Time) {
+			if n.cluster.Opts.RecordWire {
+				n.WireLog = append(n.WireLog, WireRecord{Dir: dir, Kind: kind, Peer: peer, Ctx: ctx, At: at})
+			}
+		},
+	}
 }
 
 // Start boots every node.
 func (c *Cluster) Start() {
 	for _, n := range c.Nodes {
-		n.machine.Start()
+		n.Machine().Start()
 	}
 }
 
@@ -483,25 +394,16 @@ func (c *Cluster) Recover(id model.ProcessID) {
 	n.crashed = false
 	n.Incarnation++
 	n.appState = nil
-	n.sinceSnap = 0
 	c.Net.Recover(id)
 	if n.sync != nil {
 		n.sync.Forget()
 	}
-	rec := n.openStore()
-	n.buildStack()
-	n.applyRecovery(rec)
-	n.machine.Start()
+	n.boot()
+	n.Machine().Start()
 }
 
 // Crashed reports whether node id is down.
 func (c *Cluster) Crashed(id model.ProcessID) bool { return c.Nodes[int(id)].crashed }
-
-// Machine exposes a node's group creator (tests and checks).
-func (n *Node) Machine() *member.Machine { return n.machine }
-
-// Broadcast exposes a node's broadcast layer.
-func (n *Node) Broadcast() *broadcast.Broadcast { return n.bc }
 
 // Store exposes a node's durable store; nil without Options.DataDir
 // (and while crashed).
@@ -516,16 +418,14 @@ func (n *Node) Propose(payload []byte, sem oal.Semantics) bool {
 	if n.crashed {
 		return false
 	}
-	return n.machine.Propose(payload, sem) != nil
+	return n.Machine().Propose(payload, sem) != nil
 }
 
 // CurrentGroup returns the node's current group and whether it has one.
-func (n *Node) CurrentGroup() (model.Group, bool) {
-	return n.machine.Group(), n.machine.HaveGroup() && n.machine.State() != member.StateJoin
-}
+func (n *Node) CurrentGroup() (model.Group, bool) { return n.View() }
 
 // State returns the node's FSM state.
-func (n *Node) State() member.State { return n.machine.State() }
+func (n *Node) State() member.State { return n.Machine().State() }
 
 // AppState returns a copy of the node's application state: the
 // ';'-joined payloads of every ordered delivery, rebased by join-time
@@ -564,7 +464,7 @@ func (e *nodeEnv) SetTimer(id member.TimerID, at model.Time) {
 	}
 	n.timers[id] = n.cluster.Sim.After(delay, func() {
 		if !n.crashed {
-			n.machine.OnTimer(id)
+			n.Machine().OnTimer(id)
 			// Timer-path flush hook (the live coalescer's contract):
 			// whatever the tick produced — no-decision votes, decisions,
 			// fdetect probes — leaves before the handler returns, so

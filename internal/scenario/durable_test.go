@@ -5,6 +5,7 @@ import (
 
 	"timewheel/internal/check"
 	"timewheel/internal/model"
+	"timewheel/internal/oal"
 )
 
 // TestDurableRejoin is the acceptance test for the durable state
@@ -24,6 +25,17 @@ func TestDurableRejoin(t *testing.T) {
 			}
 			if res := check.All(r.Cluster); !res.OK() {
 				t.Fatalf("N=%d seed=%d: invariants violated: %s", n, seed, res)
+			}
+			// Updates rebuilt from the log at recovery are not
+			// deliveries of the new incarnation, and the warm rejoin
+			// delivers only what the victim missed: no update is
+			// listed twice.
+			seen := map[oal.ProposalID]bool{}
+			for _, d := range r.Cluster.Node(model.ProcessID(n - 1)).Deliveries {
+				if seen[d.ID] {
+					t.Fatalf("N=%d seed=%d: %v listed twice in the recovered node's deliveries", n, seed, d.ID)
+				}
+				seen[d.ID] = true
 			}
 		}
 	}

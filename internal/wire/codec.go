@@ -31,33 +31,16 @@ import (
 // send-TS — 16 bytes) on every frame, encoded immediately after the
 // header's SendTS; v4–v6 frames still decode (Ctx reads as zero).
 // Version 8 added the Suspicion/Refute gossip kinds for k-successor
-// surveillance. Only those new kinds carry the v8 version byte: every
-// pre-existing kind's frame format is unchanged since v7 and keeps
-// encoding as v7 (see frameVersion), so during a mixed-version rolling
-// upgrade v7 peers still decode the whole pre-v8 protocol in both
-// directions and reject exactly the new gossip frames — which only v8
-// nodes emit or understand anyway.
+// surveillance. Every frame is encoded at Version; Decode still accepts
+// v4–v7 frames.
 const Version = 8
 
-// compatVersion is the version byte the pre-v8 kinds carry: their
-// format last changed in v7, and a per-frame version that only rises
-// when the frame's own layout changes is what keeps old decoders
-// working across an upgrade.
-const compatVersion = 7
+// compatVersion is the version byte the oldest-layout kinds carry. There
+// is one encoding, so it is Version for every kind.
+const compatVersion = Version
 
 // minVersion is the oldest wire format Decode still accepts.
 const minVersion = 4
-
-// frameVersion returns the version byte a frame is stamped with: the
-// lowest version whose decoder understands this kind's current layout.
-func frameVersion(m Message) uint8 {
-	switch m.(type) {
-	case *Suspicion, *Refute:
-		return Version
-	default:
-		return compatVersion
-	}
-}
 
 // ErrTruncated reports a message that ends before its declared contents.
 var ErrTruncated = errors.New("wire: truncated message")
@@ -124,7 +107,7 @@ func Encode(m Message) []byte {
 func AppendEncode(dst []byte, m Message) []byte {
 	e := encoder{buf: dst}
 	start := len(dst)
-	e.u8(frameVersion(m))
+	e.u8(Version)
 	e.u8(uint8(m.Kind()))
 	h := m.Hdr()
 	e.i64(int64(h.From))

@@ -341,19 +341,19 @@ func (o *nodeObs) registerAdaptive(n *Node) {
 	r := o.reg
 	r.CounterFunc("timewheel_fd_expect_overwrites_total",
 		"armed failure-detector expectations replaced before firing", nil,
-		func() uint64 { return n.machine.Detector().ExpectOverwrites() })
+		func() uint64 { return n.core.Machine().Detector().ExpectOverwrites() })
 	if n.adaptDelay == nil {
 		return
 	}
 	r.CounterFunc("timewheel_adapt_widened_total",
 		"per-peer suspicion grants widened by the delay estimator", nil,
-		func() uint64 { return n.machine.Detector().AdaptStats().Widened })
+		func() uint64 { return n.core.Machine().Detector().AdaptStats().Widened })
 	r.CounterFunc("timewheel_adapt_shrunk_total",
 		"per-peer suspicion grants shrunk past the hysteresis threshold", nil,
-		func() uint64 { return n.machine.Detector().AdaptStats().Shrunk })
+		func() uint64 { return n.core.Machine().Detector().AdaptStats().Shrunk })
 	r.CounterFunc("timewheel_adapt_flap_boosts_total",
 		"suspicion-triggered grant boosts to the ceiling (flap suppression)", nil,
-		func() uint64 { return n.machine.Detector().AdaptStats().FlapBoosts })
+		func() uint64 { return n.core.Machine().Detector().AdaptStats().FlapBoosts })
 	r.GaugeFunc("timewheel_adapt_noise_handler_us",
 		"EWMA of observed handler runtime feeding the adaptive guard budget (microseconds)", nil,
 		func() int64 { return n.adaptNoise.HandlerEstimate().Microseconds() })
@@ -368,7 +368,7 @@ func (o *nodeObs) registerAdaptive(n *Node) {
 		r.GaugeFunc("timewheel_adapt_peer_deadline_us",
 			"current adaptive expectation-deadline span granted to the peer (microseconds; 0 before first grant)",
 			obs.L("peer", itoa(p)),
-			func() int64 { return int64(n.machine.Detector().DeadlineSpan(peer)) })
+			func() int64 { return int64(n.core.Machine().Detector().DeadlineSpan(peer)) })
 	}
 }
 
@@ -545,8 +545,8 @@ func (n *Node) refreshMirror(timeout time.Duration) {
 	defer o.mirrorMu.Unlock()
 	done := make(chan struct{})
 	posted := n.post(engine.Event{Type: engine.EvCommand, Cmd: func() {
-		m := n.machine.Stats()
-		b := n.bc.Stats()
+		m := n.core.Machine().Stats()
+		b := n.core.Broadcast().Stats()
 		vals := []uint64{
 			m.ViewChanges, m.SingleElections, m.ReconfigElections, m.WrongSuspicions,
 			m.NDsSent, m.ReconfigsSent, m.JoinsSent, m.DecisionsSent, m.DecisionsEarly,

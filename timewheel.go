@@ -38,6 +38,7 @@ import (
 	"timewheel/internal/adapt"
 	"timewheel/internal/broadcast"
 	"timewheel/internal/check"
+	"timewheel/internal/core"
 	"timewheel/internal/durable"
 	"timewheel/internal/engine"
 	"timewheel/internal/fdetect"
@@ -421,12 +422,11 @@ type Node struct {
 	cfg    Config
 	params model.Params
 
-	bc      *broadcast.Broadcast
-	machine *member.Machine
-	loop    engine.Engine
-	tr      Transport
-	guard   *guard.Guard // nil when Config.Guard.Enabled is false
-	obs     *nodeObs     // live metrics registry + trace taps (always set)
+	core  *core.Core
+	loop  engine.Engine
+	tr    Transport
+	guard *guard.Guard // nil when Config.Guard.Enabled is false
+	obs   *nodeObs     // live metrics registry + trace taps (always set)
 
 	// auditor streams every delivery and view install through the live
 	// §3 invariant checks (always set); bboxDir/bboxLast drive the
@@ -446,12 +446,10 @@ type Node struct {
 	adaptNoise *adapt.NoiseEstimator
 	adaptCeil  time.Duration
 
-	// store is the durable store (nil without Config.DataDir);
-	// sinceSnap counts logged deliveries since the last snapshot. Both
-	// are event-loop confined after NewNode returns.
-	store     *durable.Store
-	sinceSnap int
-	recovery  RecoveryReport
+	// store is the durable store (nil without Config.DataDir), bound to
+	// the protocol by the core; recovery reports what it held at startup.
+	store    *durable.Store
+	recovery RecoveryReport
 
 	// Send coalescing (event-loop confined): every control frame
 	// produced while handling one event is encoded straight into a
@@ -663,51 +661,10 @@ func NewNode(cfg Config) (*Node, error) {
 			n.auditor.ObserveDeliver(d.ID, d.Ordinal, d.Sem, d.SendTS)
 			n.obs.emit(obs.EvDeliver, int64(d.Ordinal),
 				obs.PackProposalID(uint32(d.ID.Proposer), d.ID.Seq))
-			if n.store != nil {
-				n.store.AppendUpdate(durable.UpdateRecord{ //nolint:errcheck
-					ID: d.ID, Ordinal: d.Ordinal, Sem: d.Sem, SendTS: d.SendTS, Payload: d.Payload,
-				})
-			}
 			if cfg.OnDeliver != nil {
 				cfg.OnDeliver(toDelivery(d))
 			}
-			if n.store != nil {
-				if n.sinceSnap++; n.sinceSnap >= snapEvery {
-					n.writeSnapshot()
-				}
-			}
 		},
-	}
-	if n.store != nil {
-		if cfg.Install != nil {
-			bcfg.Install = func(b []byte) {
-				cfg.Install(b)
-				// A full transfer rebases the application state: snapshot
-				// it with the matching delivery image so the log restarts
-				// clean behind it.
-				n.writeSnapshot()
-			}
-		}
-		bcfg.OnLineage = func(lin model.GroupSeq) {
-			// A lineage boundary restarts the ordinal space: mark it in
-			// the log (recovery then knows post-boundary ordinals are
-			// incomparable with the snapshot's) and drop the replay tail.
-			n.store.AppendView(durable.ViewRecord{Lineage: lin, Ordinal: oal.None}) //nolint:errcheck
-			n.store.ResetTail(0)
-		}
-		bcfg.ReplaySince = func(since oal.Ordinal) ([]wire.ReplayEntry, bool) {
-			recs, ok := n.store.ReplaySince(since)
-			if !ok {
-				return nil, false
-			}
-			out := make([]wire.ReplayEntry, 0, len(recs))
-			for _, u := range recs {
-				out = append(out, wire.ReplayEntry{
-					ID: u.ID, Ordinal: u.Ordinal, Sem: u.Sem, SendTS: u.SendTS, Payload: u.Payload,
-				})
-			}
-			return out, true
-		}
 	}
 	if cfg.Termination > 0 {
 		bcfg.TerminationAfter = model.FromStd(cfg.Termination)
@@ -717,7 +674,6 @@ func NewNode(cfg Config) (*Node, error) {
 			}
 		}
 	}
-	n.bc = broadcast.New(model.ProcessID(cfg.ID), mp, bcfg)
 	var scfg surveil.Config
 	if cfg.Surveillance.Enabled {
 		scfg.K = cfg.Surveillance.K
@@ -725,82 +681,37 @@ func NewNode(cfg Config) (*Node, error) {
 			scfg.K = 3
 		}
 	}
-	n.machine = member.New(model.ProcessID(cfg.ID), mp, member.Config{
-		Surveillance: scfg,
-		Hooks: member.Hooks{
-			StateChange: func(from, to member.State, _ model.Time) {
-				n.obs.onStateChange(from, to)
-				if to == member.StateJoin && from != member.StateJoin {
-					// Dropping back to join restarts the delivery stream
-					// (the broadcast layer resets; the join-time transfer
-					// re-establishes it): the auditor's ordering floors
-					// restart with it.
-					n.auditor.ResetIncarnation()
-				}
-			},
-			Suspicion: func(suspect model.ProcessID, deadline, now model.Time) {
-				n.obs.onSuspicion(suspect, deadline, now)
-			},
-			ViewChange: func(g model.Group, _ model.Time) {
-				n.obs.onViewChange(g)
-				n.auditor.ObserveView(uint64(g.Seq), len(g.Members))
-				if n.store != nil {
-					// Membership descriptors occupy ordinals; logging the
-					// view with its ordinal lets recovery count it toward
-					// contiguous coverage.
-					n.store.AppendView(durable.ViewRecord{ //nolint:errcheck
-						Seq:     g.Seq,
-						Members: append([]model.ProcessID(nil), g.Members...),
-						Ordinal: n.bc.MembershipOrdinal(g.Seq),
-						Lineage: n.bc.Lineage(),
-					})
-				}
-				ve := ViewEvent{Seq: uint64(g.Seq), At: time.Now()}
-				for _, m := range g.Members {
-					ve.Members = append(ve.Members, int(m))
-				}
-				n.histMu.Lock()
-				n.views = append(n.views, ve)
-				n.histMu.Unlock()
-				if cfg.OnViewChange != nil {
-					cfg.OnViewChange(View{Seq: ve.Seq, Members: ve.Members})
-				}
-			},
-			Decider: func(isDecider bool, _ model.Time) {
-				at := time.Now()
-				sent, how := false, int64(obs.DeciderHeld)
-				ms := n.machine.Stats()
-				n.histMu.Lock()
-				if isDecider {
-					n.tenures = append(n.tenures, DeciderTenure{Start: at})
-					n.deciderSent, n.deciderEarly, n.deciderAck, n.deciderRel = ms.DecisionsSent, ms.DecisionsEarly, ms.DecisionsAckOnly, ms.DecisionsRelease
-				} else if k := len(n.tenures) - 1; k >= 0 && n.tenures[k].End.IsZero() {
-					n.tenures[k].End = at
-					sent = ms.DecisionsSent > n.deciderSent
-					switch {
-					case ms.DecisionsAckOnly > n.deciderAck:
-						how = obs.DeciderEarlyAckOnly
-					case ms.DecisionsRelease > n.deciderRel:
-						how = obs.DeciderEarlyRelease
-					case ms.DecisionsEarly > n.deciderEarly:
-						how = obs.DeciderEarlyOrdering
-					}
-					n.tenures[k].Sent = sent
-				}
-				n.histMu.Unlock()
-				n.obs.onDecider(isDecider, sent, how)
-			},
-			WireEvent: func(dir member.WireDir, kind wire.Kind, peer model.ProcessID, ctx wire.Causal, _ model.Time) {
-				n.obs.onWireEvent(dir, kind, peer, ctx)
-			},
-		},
-	}, (*nodeEnv)(n), n.bc)
+	n.core = core.New(core.Config{
+		ID:            model.ProcessID(cfg.ID),
+		Params:        mp,
+		Env:           (*nodeEnv)(n),
+		Broadcast:     bcfg,
+		Member:        member.Config{Surveillance: scfg, Hooks: n.hooks()},
+		Store:         n.store,
+		SnapshotEvery: snapEvery,
+	})
 	if rec != nil {
-		n.seedRecovery(rec)
+		n.recovery = RecoveryReport{
+			Durable:       true,
+			HaveSnapshot:  rec.HaveSnapshot,
+			LoggedUpdates: len(rec.Updates),
+			LoggedViews:   len(rec.Views),
+			Covered:       uint64(rec.AdvertisedCoverage()),
+			Lineage:       uint64(rec.Lineage()),
+			TornTail:      rec.TornTail,
+			Discarded:     rec.Discarded,
+		}
+		var replay func(broadcast.Delivery)
+		if cfg.OnDeliver != nil {
+			replay = func(d broadcast.Delivery) { cfg.OnDeliver(toDelivery(d)) }
+		}
+		// Recovered deliveries reach the application through Install and
+		// OnDeliver before Start, and are never delivered again.
+		n.core.Restore(rec, cfg.Install, replay)
 	}
 	// Expectation-overwrite accounting is observability, not adaptation:
 	// wired whether or not Adaptive is on.
-	n.machine.Detector().OnExpectOverwrite(func(old, next model.ProcessID) {
+	n.core.Machine().Detector().OnExpectOverwrite(func(old, next model.ProcessID) {
 		n.obs.emit(obs.EvExpectOverwrite, int64(old), int64(next))
 	})
 	if cfg.Adaptive.Enabled {
@@ -814,10 +725,7 @@ func NewNode(cfg Config) (*Node, error) {
 		if n.adaptCeil = cfg.Adaptive.BudgetCeil; n.adaptCeil <= 0 {
 			n.adaptCeil = 2 * time.Second
 		}
-		n.machine.Detector().EnableAdaptive(
-			adaptDelayAdapter{n.adaptDelay},
-			fdetect.AdaptiveConfig{CeilFactor: cfg.Adaptive.CeilFactor},
-		)
+		n.core.EnableAdaptive(n.adaptDelay, fdetect.AdaptiveConfig{CeilFactor: cfg.Adaptive.CeilFactor})
 	}
 	if cfg.Guard.Enabled {
 		gcfg := guard.Config{
@@ -911,69 +819,65 @@ func toDelivery(d broadcast.Delivery) Delivery {
 	}
 }
 
-// writeSnapshot persists the application state with the broadcast
-// layer's matching delivery image and prunes the log behind it. Without
-// Snapshot/Install hooks the node stays log-only: there is no state the
-// snapshot could capture, so the log must keep every delivery.
-func (n *Node) writeSnapshot() {
-	n.sinceSnap = 0
-	if n.store == nil || n.cfg.Snapshot == nil {
-		return
+// hooks attaches the node's observability, live invariant auditing
+// and membership history to the group creator.
+func (n *Node) hooks() member.Hooks {
+	return member.Hooks{
+		StateChange: func(from, to member.State, _ model.Time) {
+			n.obs.onStateChange(from, to)
+			if to == member.StateJoin && from != member.StateJoin {
+				// Dropping back to join restarts the delivery stream
+				// (the broadcast layer resets; the join-time transfer
+				// re-establishes it): the auditor's ordering floors
+				// restart with it.
+				n.auditor.ResetIncarnation()
+			}
+		},
+		Suspicion: func(suspect model.ProcessID, deadline, now model.Time) {
+			n.obs.onSuspicion(suspect, deadline, now)
+		},
+		ViewChange: func(g model.Group, _ model.Time) {
+			n.obs.onViewChange(g)
+			n.auditor.ObserveView(uint64(g.Seq), len(g.Members))
+			ve := ViewEvent{Seq: uint64(g.Seq), At: time.Now()}
+			for _, m := range g.Members {
+				ve.Members = append(ve.Members, int(m))
+			}
+			n.histMu.Lock()
+			n.views = append(n.views, ve)
+			n.histMu.Unlock()
+			if n.cfg.OnViewChange != nil {
+				n.cfg.OnViewChange(View{Seq: ve.Seq, Members: ve.Members})
+			}
+		},
+		Decider: func(isDecider bool, _ model.Time) {
+			at := time.Now()
+			sent, how := false, int64(obs.DeciderHeld)
+			ms := n.core.Machine().Stats()
+			n.histMu.Lock()
+			if isDecider {
+				n.tenures = append(n.tenures, DeciderTenure{Start: at})
+				n.deciderSent, n.deciderEarly, n.deciderAck, n.deciderRel = ms.DecisionsSent, ms.DecisionsEarly, ms.DecisionsAckOnly, ms.DecisionsRelease
+			} else if k := len(n.tenures) - 1; k >= 0 && n.tenures[k].End.IsZero() {
+				n.tenures[k].End = at
+				sent = ms.DecisionsSent > n.deciderSent
+				switch {
+				case ms.DecisionsAckOnly > n.deciderAck:
+					how = obs.DeciderEarlyAckOnly
+				case ms.DecisionsRelease > n.deciderRel:
+					how = obs.DeciderEarlyRelease
+				case ms.DecisionsEarly > n.deciderEarly:
+					how = obs.DeciderEarlyOrdering
+				}
+				n.tenures[k].Sent = sent
+			}
+			n.histMu.Unlock()
+			n.obs.onDecider(isDecider, sent, how)
+		},
+		WireEvent: func(dir member.WireDir, kind wire.Kind, peer model.ProcessID, ctx wire.Causal, _ model.Time) {
+			n.obs.onWireEvent(dir, kind, peer, ctx)
+		},
 	}
-	img := n.bc.SnapshotImage()
-	meta := durable.SnapshotMeta{Lineage: img.Lineage, Covered: img.Covered, SettledTS: img.SettledTS}
-	for _, x := range img.Extra {
-		meta.Extra = append(meta.Extra, durable.ExtraEntry{ID: x.ID, Ordinal: x.Ordinal})
-	}
-	for _, f := range img.FIFO {
-		meta.FIFO = append(meta.FIFO, durable.FIFOCursor{Proposer: f.Proposer, Next: f.Seq})
-	}
-	n.store.WriteSnapshot(meta, n.cfg.Snapshot()) //nolint:errcheck // best-effort; log retains the tail
-}
-
-// seedRecovery rebuilds the application and delivery state from what
-// the durable store recovered, before the protocol starts: the snapshot
-// is installed as the base, the logged updates are replayed through
-// OnDeliver on top, and the broadcast layer is seeded so nothing
-// recovered is ever re-applied — and so the node's join message
-// advertises the recovered coverage for a delta rejoin.
-func (n *Node) seedRecovery(rec *durable.Recovery) {
-	n.recovery = RecoveryReport{
-		Durable:       true,
-		HaveSnapshot:  rec.HaveSnapshot,
-		LoggedUpdates: len(rec.Updates),
-		LoggedViews:   len(rec.Views),
-		Covered:       uint64(rec.AdvertisedCoverage()),
-		Lineage:       uint64(rec.Lineage()),
-		TornTail:      rec.TornTail,
-		Discarded:     rec.Discarded,
-	}
-	if rec.Empty() {
-		return
-	}
-	if rec.HaveSnapshot && n.cfg.Install != nil {
-		n.cfg.Install(rec.AppState)
-	}
-	img := broadcast.Image{
-		Lineage:   rec.Lineage(),
-		Covered:   rec.AdvertisedCoverage(),
-		SettledTS: rec.Meta.SettledTS,
-	}
-	for _, x := range rec.Meta.Extra {
-		img.Extra = append(img.Extra, broadcast.ImageExtra{ID: x.ID, Ordinal: x.Ordinal})
-	}
-	for _, u := range rec.Updates {
-		if n.cfg.OnDeliver != nil {
-			n.cfg.OnDeliver(toDelivery(broadcast.Delivery{
-				ID: u.ID, Ordinal: u.Ordinal, Payload: u.Payload, Sem: u.Sem, SendTS: u.SendTS,
-			}))
-		}
-		img.Extra = append(img.Extra, broadcast.ImageExtra{ID: u.ID, Ordinal: u.Ordinal})
-	}
-	for _, f := range rec.Meta.FIFO {
-		img.FIFO = append(img.FIFO, wire.FIFOEntry{Proposer: f.Proposer, Seq: f.Next})
-	}
-	n.bc.SeedRecovered(img)
 }
 
 // Recovery returns the startup recovery report; Durable is false when
@@ -995,22 +899,28 @@ func (n *Node) Checkpoint() error {
 	if n.store == nil || n.cfg.Snapshot == nil {
 		return ErrNotDurable
 	}
+	return call(n, ErrStopped, func() error {
+		n.core.WriteSnapshot()
+		return n.store.Sync()
+	})
+}
+
+// call runs f on the event loop and returns its result, or fallback
+// when the node is stopped or the loop does not answer within 5 s.
+func call[T any](n *Node, fallback T, f func() T) T {
 	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return ErrStopped
-	}
+	stopped := n.stopped
 	n.mu.Unlock()
-	errc := make(chan error, 1)
-	n.post(engine.Event{Type: engine.EvCommand, Cmd: func() {
-		n.writeSnapshot()
-		errc <- n.store.Sync()
-	}})
+	if stopped {
+		return fallback
+	}
+	ch := make(chan T, 1)
+	n.post(engine.Event{Type: engine.EvCommand, Cmd: func() { ch <- f() }})
 	select {
-	case err := <-errc:
-		return err
+	case v := <-ch:
+		return v
 	case <-time.After(5 * time.Second):
-		return ErrStopped
+		return fallback
 	}
 }
 
@@ -1093,11 +1003,11 @@ func (n *Node) sampleNoise(ev engine.Event, start, end time.Time) {
 func (n *Node) dispatch(ev engine.Event) {
 	switch {
 	case ev.Msg != nil:
-		n.machine.OnMessage(ev.Msg)
+		n.core.Machine().OnMessage(ev.Msg)
 	case ev.Cmd != nil:
 		ev.Cmd()
 	default:
-		n.machine.OnTimer(ev.Timer)
+		n.core.Machine().OnTimer(ev.Timer)
 	}
 }
 
@@ -1109,8 +1019,8 @@ func (n *Node) dispatch(ev engine.Event) {
 // backlog of stale lateness drained right after the stall does not
 // immediately re-trip it.
 func (n *Node) selfExclude() {
-	if n.machine.State() != member.StateJoin {
-		n.machine.SelfExclude()
+	if n.core.Machine().State() != member.StateJoin {
+		n.core.Machine().SelfExclude()
 		n.guard.NoteSelfExclusion()
 		n.obs.emit(obs.EvSelfExclude, 0, 0)
 		n.triggerBlackbox("self-exclude")
@@ -1137,7 +1047,7 @@ func (n *Node) post(ev engine.Event) bool {
 // Start begins protocol execution: the node enters the join state and
 // sends join messages in its time slots.
 func (n *Node) Start() {
-	n.post(engine.Event{Type: engine.EvCommand, Cmd: n.machine.Start})
+	n.post(engine.Event{Type: engine.EvCommand, Cmd: n.core.Machine().Start})
 }
 
 // Stop shuts the node down.
@@ -1167,27 +1077,8 @@ func (n *Node) Stop() {
 // Propose broadcasts an update with the given semantics. It blocks until
 // the node's event loop has accepted (or refused) the proposal.
 func (n *Node) Propose(payload []byte, o Order, a Atomicity) error {
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return ErrStopped
-	}
-	n.mu.Unlock()
-	errc := make(chan error, 1)
-	n.post(engine.Event{Type: engine.EvCommand, Cmd: func() {
-		p := n.machine.Propose(payload, oal.Semantics{Order: oal.Order(o), Atomicity: oal.Atomicity(a)})
-		if p == nil {
-			errc <- ErrNotMember
-		} else {
-			errc <- nil
-		}
-	}})
-	select {
-	case err := <-errc:
-		return err
-	case <-time.After(5 * time.Second):
-		return ErrStopped
-	}
+	_, err := n.ProposeSeq(payload, o, a, nil)
+	return err
 }
 
 // ProposeSeq broadcasts an update like Propose and additionally reports
@@ -1197,34 +1088,21 @@ func (n *Node) Propose(payload []byte, o Order, a Atomicity) error {
 // strictly before any outcome for it can fire, closing the registration
 // race for request/response layers (see package rsm).
 func (n *Node) ProposeSeq(payload []byte, o Order, a Atomicity, register func(seq uint64)) (uint64, error) {
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return 0, ErrStopped
-	}
-	n.mu.Unlock()
 	type resp struct {
 		seq uint64
 		err error
 	}
-	ch := make(chan resp, 1)
-	n.post(engine.Event{Type: engine.EvCommand, Cmd: func() {
-		p := n.machine.Propose(payload, oal.Semantics{Order: oal.Order(o), Atomicity: oal.Atomicity(a)})
+	r := call(n, resp{err: ErrStopped}, func() resp {
+		p := n.core.Machine().Propose(payload, oal.Semantics{Order: oal.Order(o), Atomicity: oal.Atomicity(a)})
 		if p == nil {
-			ch <- resp{err: ErrNotMember}
-			return
+			return resp{err: ErrNotMember}
 		}
 		if register != nil {
 			register(p.ID.Seq)
 		}
-		ch <- resp{seq: p.ID.Seq}
-	}})
-	select {
-	case r := <-ch:
-		return r.seq, r.err
-	case <-time.After(5 * time.Second):
-		return 0, ErrStopped
-	}
+		return resp{seq: p.ID.Seq}
+	})
+	return r.seq, r.err
 }
 
 // CurrentView returns the node's membership view; ok is false while the
@@ -1234,35 +1112,21 @@ func (n *Node) CurrentView() (View, bool) {
 		v  View
 		ok bool
 	}
-	ch := make(chan resp, 1)
-	n.post(engine.Event{Type: engine.EvCommand, Cmd: func() {
-		g := n.machine.Group()
-		ok := n.machine.HaveGroup() && n.machine.State() != member.StateJoin
+	r := call(n, resp{}, func() resp {
+		g, ok := n.core.View()
 		v := View{Seq: uint64(g.Seq)}
 		for _, m := range g.Members {
 			v.Members = append(v.Members, int(m))
 		}
-		ch <- resp{v, ok}
-	}})
-	select {
-	case r := <-ch:
-		return r.v, r.ok
-	case <-time.After(5 * time.Second):
-		return View{}, false
-	}
+		return resp{v, ok}
+	})
+	return r.v, r.ok
 }
 
 // UpToDate reports the paper's fail-awareness predicate: whether this
 // process currently knows its view to be up to date.
 func (n *Node) UpToDate() bool {
-	ch := make(chan bool, 1)
-	n.post(engine.Event{Type: engine.EvCommand, Cmd: func() { ch <- n.machine.UpToDate() }})
-	select {
-	case v := <-ch:
-		return v
-	case <-time.After(5 * time.Second):
-		return false
-	}
+	return call(n, false, n.core.Machine().UpToDate)
 }
 
 // Metrics is a point-in-time snapshot of a node's protocol counters.
@@ -1294,11 +1158,10 @@ type Metrics struct {
 
 // Metrics returns a snapshot of the node's protocol counters.
 func (n *Node) Metrics() Metrics {
-	ch := make(chan Metrics, 1)
-	n.post(engine.Event{Type: engine.EvCommand, Cmd: func() {
-		ms := n.machine.Stats()
-		bs := n.bc.Stats()
-		ch <- Metrics{
+	return call(n, Metrics{}, func() Metrics {
+		ms := n.core.Machine().Stats()
+		bs := n.core.Broadcast().Stats()
+		return Metrics{
 			ViewChanges:       ms.ViewChanges,
 			SingleElections:   ms.SingleElections,
 			ReconfigElections: ms.ReconfigElections,
@@ -1319,13 +1182,7 @@ func (n *Node) Metrics() Metrics {
 			StateDeltas:       bs.StateDeltas,
 			ReplayApplied:     bs.ReplayApplied,
 		}
-	}})
-	select {
-	case m := <-ch:
-		return m
-	case <-time.After(5 * time.Second):
-		return Metrics{}
-	}
+	})
 }
 
 // GuardStats snapshots the timeliness guard's counters plus the
@@ -1351,25 +1208,12 @@ func (n *Node) GuardStats() GuardStats {
 	return s
 }
 
-// adaptDelayAdapter lifts adapt.DelayEstimator (time.Duration, int
-// peers) to fdetect.DelayEstimator (model units, ProcessID peers).
-type adaptDelayAdapter struct{ est *adapt.DelayEstimator }
-
-func (a adaptDelayAdapter) Observe(peer model.ProcessID, d model.Duration) {
-	a.est.Observe(int(peer), d.Std())
-}
-
-func (a adaptDelayAdapter) Bound(peer model.ProcessID) (model.Duration, bool) {
-	b, ok := a.est.Bound(int(peer))
-	return model.FromStd(b), ok
-}
-
 // AdaptiveStats snapshots the adaptive-timeout layer. Like GuardStats
 // it reads atomics and samplers directly — no event-loop round-trip —
 // so it stays available mid-stall. With Adaptive disabled only the
 // ExpectOverwrites counter is live.
 func (n *Node) AdaptiveStats() AdaptiveStats {
-	det := n.machine.Detector()
+	det := n.core.Machine().Detector()
 	as := det.AdaptStats()
 	s := AdaptiveStats{
 		Enabled:          n.cfg.Adaptive.Enabled,
@@ -1413,14 +1257,7 @@ func (n *Node) InjectStall(d time.Duration) {
 // failure-free, wrong-suspicion, 1-failure-receive, 1-failure-send,
 // n-failure) — mainly for monitoring.
 func (n *Node) StateName() string {
-	ch := make(chan string, 1)
-	n.post(engine.Event{Type: engine.EvCommand, Cmd: func() { ch <- n.machine.State().String() }})
-	select {
-	case s := <-ch:
-		return s
-	case <-time.After(5 * time.Second):
-		return "stopped"
-	}
+	return call(n, "stopped", func() string { return n.core.Machine().State().String() })
 }
 
 // nodeEnv adapts Node to member.Env. It runs inside the event loop.

@@ -1,6 +1,9 @@
 package timewheel
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -43,8 +46,8 @@ func (r *recorder) deliveryCount() int {
 	return len(r.deliveries)
 }
 
-// startCluster boots n in-memory nodes and waits until they all report a
-// full view.
+// startCluster boots n in-memory nodes and waits until they all hold
+// one full view that has been stable for two cycles.
 func startCluster(t *testing.T, n int) ([]*Node, []*recorder, func()) {
 	t.Helper()
 	hub := NewMemoryHub(HubConfig{MaxDelay: 500 * time.Microsecond, Seed: 42})
@@ -74,23 +77,42 @@ func startCluster(t *testing.T, n int) ([]*Node, []*recorder, func()) {
 		}
 		hub.Close()
 	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		all := true
-		for _, nd := range nodes {
-			v, ok := nd.CurrentView()
-			if !ok || len(v.Members) != n {
-				all = false
-				break
-			}
+	defer func() {
+		if t.Failed() {
+			stop()
 		}
-		if all {
-			return nodes, recs, stop
+	}()
+	waitStable(t, nodes, 2)
+	if v, _ := nodes[0].CurrentView(); len(v.Members) != n {
+		t.Fatalf("cluster settled on %v, not a full view", v)
+	}
+	return nodes, recs, stop
+}
+
+// waitStable waits until every node is UpToDate and all of them hold
+// the same view, unchanged for k cycles.
+func waitStable(t *testing.T, nodes []*Node, k int) {
+	t.Helper()
+	quiet := time.Duration(k) * nodes[0].params.CycleLen().Std()
+	deadline := time.Now().Add(15*time.Second + quiet)
+	var last []uint64
+	since := time.Now()
+	for {
+		seqs := make([]uint64, len(nodes))
+		agreed := true
+		for i, nd := range nodes {
+			v, ok := nd.CurrentView()
+			seqs[i] = v.Seq
+			agreed = agreed && ok && v.Seq == seqs[0] && nd.UpToDate()
+		}
+		if !slices.Equal(seqs, last) {
+			last, since = seqs, time.Now()
+		}
+		if agreed && time.Since(since) >= quiet {
+			return
 		}
 		if time.Now().After(deadline) {
-			stop()
-			t.Fatalf("cluster never formed a full view")
+			t.Fatalf("views never settled for %d cycles: view seqs %v, agreed and up to date %v", k, seqs, agreed)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -160,6 +182,7 @@ func TestRealTimeCrashRecovery(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	waitStable(t, nodes[:2], 2)
 }
 
 func TestProposeWhileJoiningFails(t *testing.T) {
@@ -287,26 +310,14 @@ func TestUDPClusterEndToEnd(t *testing.T) {
 			n.Stop()
 		}
 	}()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		all := true
-		for _, n := range nodes {
-			if v, ok := n.CurrentView(); !ok || len(v.Members) != 3 {
-				all = false
-			}
-		}
-		if all {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("udp cluster never formed")
-		}
-		time.Sleep(2 * time.Millisecond)
+	waitStable(t, nodes, 2)
+	if v, _ := nodes[0].CurrentView(); len(v.Members) != 3 {
+		t.Fatalf("udp cluster settled on %v, not a full view", v)
 	}
 	if err := nodes[1].Propose([]byte("over-udp"), TotalOrder, Weak); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for recs[2].deliveryCount() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("udp delivery timeout")
@@ -335,7 +346,15 @@ func TestMetricsSnapshot(t *testing.T) {
 	// Failure-free: no election machinery ran.
 	m := nodes[0].Metrics()
 	if m.SingleElections != 0 || m.ReconfigElections != 0 || m.NoDecisionsSent != 0 {
-		t.Fatalf("election counters nonzero in failure-free run: %+v", m)
+		var hist strings.Builder
+		for i, nd := range nodes {
+			views, _ := nd.History()
+			fmt.Fprintf(&hist, "\nnode %d: %d spurious suspicions, views", i, nd.Metrics().WrongSuspicions)
+			for _, v := range views {
+				fmt.Fprintf(&hist, " %d%v@%s", v.Seq, v.Members, v.At.Format("15:04:05.000"))
+			}
+		}
+		t.Fatalf("election counters nonzero in failure-free run: %+v%s", m, hist.String())
 	}
 }
 
