@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test race bench bench-check fuzz vet fmt experiments fsm examples dashboard-check clean
+.PHONY: all test race bench bench-check bench-pair fuzz vet fmt experiments fsm examples dashboard-check clean
 
 all: vet test
 
@@ -16,6 +16,14 @@ bench:
 # bench/ is its own module: the root vet/test do not build it.
 bench-check:
 	$(GO) vet -C bench . && $(GO) test -C bench .
+
+# Interleaved same-seed pairs of the benchmark: this checkout against PARENT
+# (a commit or a checkout directory), every end-to-end metric per pair.
+WORKLOAD ?= hub3_paced
+SEEDS ?= 101 102 103
+bench-pair:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pair PARENT=<commit> [WORKLOAD=$(WORKLOAD)] [SEEDS=\"$(SEEDS)\"]" >&2; exit 2; }
+	bash scripts/benchpair.sh $(PARENT) $(WORKLOAD) $(SEEDS)
 
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire

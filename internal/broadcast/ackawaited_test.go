@@ -180,3 +180,43 @@ func TestTimeReleaseAtIsExact(t *testing.T) {
 		t.Fatalf("a delivered update waits for release at %v", at)
 	}
 }
+
+// Every decision is bound by OrderingRoom, whatever sent it: the
+// decisions stamped in one D/32 slot order at most the budget together,
+// none orders in the cell of the latest ordering decision, and the next
+// slot brings a fresh budget. NextOrderingAt names the next cell edge
+// while the slot has room and the slot edge once it has none.
+func TestOrderingRoomBoundsEveryDecision(t *testing.T) {
+	h := newHarness(t, 0, 1, 2)
+	b := h.members[0]
+	for i := 0; i < MaxOrdinalsPerDecision+6; i++ {
+		h.propose(1, "p", sem(oal.TotalOrder, oal.WeakAtomicity))
+	}
+	q := model.Time(h.params.D / orderingSlotsPerD)
+	s0 := (h.now/q + 2) * q
+	decideAt := func(ts model.Time, want int) {
+		t.Helper()
+		next := b.view.Next
+		if room := b.OrderingRoom(ts); room < want {
+			t.Fatalf("at slot offset %d: room %d, want at least %d", ts-s0, room, want)
+		}
+		dec, _ := b.BuildDecision(ts, h.group, h.group.Members)
+		if got := int(dec.OAL.Next - next); got != want {
+			t.Fatalf("decision at slot offset %d ordered %d, want %d", ts-s0, got, want)
+		}
+	}
+	decideAt(s0+1, MaxOrdinalsPerDecision)
+	if at, full := b.NextOrderingAt(); !full || at != s0+q {
+		t.Fatalf("spent slot: next ordering at offset %d (full=%v), want the slot edge", at-s0, full)
+	}
+	decideAt(s0+q/2, 0) // a later cell of the spent slot
+	decideAt(s0+q+1, 6) // the next slot: what was left
+	for i := 0; i < 3; i++ {
+		h.propose(1, "p", sem(oal.TotalOrder, oal.WeakAtomicity))
+	}
+	decideAt(s0+q+2, 0) // the cell of the latest ordering decision
+	if at, full := b.NextOrderingAt(); full || at != s0+q+(q+3)/4 {
+		t.Fatalf("slot with room: next ordering at offset %d (full=%v), want the next cell edge", at-s0, full)
+	}
+	decideAt(s0+q+(q+3)/4, 3)
+}

@@ -137,9 +137,12 @@ type Broadcast struct {
 	// lastOrdTS is the send timestamp of the freshest decision sent or
 	// adopted here that assigned an ordinal; decNext is the view's next
 	// ordinal as of the freshest decision, which is how the next one
-	// tells whether it assigned any.
+	// tells whether it assigned any, and how many. slotUsed sums those
+	// counts over the decisions stamped in lastOrdTS's ordering slot
+	// (see OrderingRoom).
 	lastOrdTS model.Time
 	decNext   oal.Ordinal
+	slotUsed  int
 
 	// baseRing records the freshest few decisions built or adopted here,
 	// oldest first — the cluster-shared baselines delta-encoded decisions
@@ -356,9 +359,19 @@ func (b *Broadcast) LastOrderingTS() model.Time { return b.lastOrdTS }
 
 // noteDecided is called with the send timestamp of each decision built or
 // adopted here: it is the freshest ordering decision when the view now
-// holds an ordinal the previous decision's did not.
+// holds an ordinal the previous decision's did not, and what it assigned
+// counts against the budget of its ordering slot.
 func (b *Broadcast) noteDecided(ts model.Time) {
 	if b.view.Next != b.decNext {
+		slot, _ := b.orderingSlot(ts)
+		if last, _ := b.orderingSlot(b.lastOrdTS); slot != last {
+			b.slotUsed = 0
+		}
+		if b.view.Next > b.decNext {
+			// A first adoption (decNext 0) or an election's appends count
+			// at most one whole budget: what the slot has left is nothing.
+			b.slotUsed += int(min(b.view.Next-b.decNext, MaxOrdinalsPerDecision))
+		}
 		b.lastOrdTS, b.decNext = ts, b.view.Next
 	}
 	b.dropReleased()

@@ -48,7 +48,7 @@ func (b *Broadcast) BuildDecision(now model.Time, group model.Group, alive []mod
 	}
 	b.ownAcked = b.ownAcked[:0]
 	appended := len(b.view.Entries)
-	missing := b.assignOrdinals(now)
+	missing := b.assignOrdinals(now, b.OrderingRoom(ts))
 	for i := appended; i < len(b.view.Entries); i++ {
 		b.touch(i, ts)
 	}
@@ -77,12 +77,13 @@ func (b *Broadcast) BuildDecision(now model.Time, group model.Group, alive []mod
 }
 
 // Orderable reports whether a decision built now would assign at least
-// one ordinal: some pending body continues its proposer's ordered
-// sequence and its sender is not under an election-time mark. It is
-// exact in that direction — true means BuildDecision orders that body —
-// which is what lets a decider act on it without waiting out its hold
-// and without spinning. (A body that can only be ordered by abandoning a
-// sequence gap is left to the held decision.)
+// one ordinal, slot budget permitting: some pending body continues its
+// proposer's ordered sequence and its sender is not under an
+// election-time mark. It is exact in that direction — true means
+// BuildDecision orders that body when stamped at NextOrderingAt, which
+// always leaves room — and that is what lets a decider act on it without
+// waiting out its hold and without spinning. (A body that can only be
+// ordered by abandoning a sequence gap is left to the held decision.)
 func (b *Broadcast) Orderable(now model.Time) bool {
 	for _, pr := range b.ids.procs {
 		if len(pr.pend) == 0 {
@@ -147,16 +148,83 @@ func (b *Broadcast) TimeReleaseAt() (model.Time, bool) {
 	return b.releaseQ[0].at, true
 }
 
-// MaxOrdinalsPerDecision bounds the proposals one decision orders. What
-// is left waits for the next decision, which under load is one
-// early-decision slot away (member.decideIfOrderable): the bound keeps a
-// decision's size and the time every member's event loop spends adopting
-// it (delivery callbacks included) independent of how deep the backlog
-// is, and makes the group's ordering capacity a function of D — at most
-// this many ordinals per early-decision slot of D/32, 64 × 32 per D.
-// Teams too large for a delta decision at this bound to fit one datagram
-// order fewer (ordinalsPerDecision).
+// MaxOrdinalsPerDecision bounds the proposals one decision orders, and
+// the proposals all decisions stamped in one ordering slot order together
+// (OrderingRoom). What is left waits for the next slot edge
+// (NextOrderingAt): the bound keeps a decision's size and the time every
+// member's event loop spends adopting it (delivery callbacks included)
+// independent of how deep the backlog is, and makes the group's ordering
+// capacity a function of D — at most this many ordinals per ordering slot
+// of D/32, 64 × 32 per D. Teams too large for a delta decision at this
+// bound to fit one datagram order fewer (ordinalsPerDecision).
 const MaxOrdinalsPerDecision = 64
+
+// The ordering grid, on the synchronized clock. D is divided into
+// orderingSlotsPerD slots, each split into cellsPerSlot cells. The slot
+// is the unit of ordering capacity: the decisions stamped within one
+// slot together assign at most ordinalsPerDecision of the team size.
+// The cell paces the decisions that spend it: the next ordering decision
+// is due at the first cell edge after the latest one, or at the next
+// slot edge once the slot's budget is spent (NextOrderingAt). Below the
+// ceiling a proposal therefore waits at most a cell to be ordered, and
+// not at all when it arrives a cell or more after the latest ordering
+// decision. At the ceiling the first decision of each slot takes the
+// whole budget, so cadence and batch are one full decision per slot.
+// Both grids stand still, so a late decision moves no later edge.
+const (
+	orderingSlotsPerD = 32
+	cellsPerSlot      = 4
+)
+
+// slotLen is the length of an ordering slot.
+func (b *Broadcast) slotLen() model.Time {
+	return model.Time(max(b.params.D/orderingSlotsPerD, 1))
+}
+
+// orderingSlot returns the ordering slot a decision stamped at ts falls
+// in, and its cell within that slot.
+func (b *Broadcast) orderingSlot(ts model.Time) (slot, cell model.Time) {
+	q := b.slotLen()
+	return ts / q, ts % q * cellsPerSlot / q
+}
+
+// OrderingRoom returns how many ordinals a decision stamped at ts may
+// assign: none in the cell of the latest ordering decision, and
+// otherwise ordinalsPerDecision of the team size less what the decisions
+// stamped earlier in the same slot assigned. It bounds every decision —
+// held, ack-only and release decisions too — so the grid holds whatever
+// sends a decision and however far the sender's clock lags the latest
+// stamp.
+func (b *Broadcast) OrderingRoom(ts model.Time) int {
+	room := ordinalsPerDecision(b.params.N)
+	slot, cell := b.orderingSlot(ts)
+	switch lastSlot, lastCell := b.orderingSlot(b.lastOrdTS); {
+	case slot != lastSlot:
+		return room
+	case cell == lastCell:
+		return 0
+	default:
+		return max(room-b.slotUsed, 0)
+	}
+}
+
+// NextOrderingAt returns when the next decision that assigns an ordinal
+// is due: at the first cell edge after the latest one (LastOrderingTS),
+// or — full — at the next slot edge when the decisions stamped in that
+// slot have spent its budget. A decision stamped then always has room.
+// Cell edges split each slot as evenly as whole microseconds allow, so
+// the last cell of a slot ends at the slot edge.
+func (b *Broadcast) NextOrderingAt() (at model.Time, full bool) {
+	q := b.slotLen()
+	last := b.lastOrdTS
+	start := last - last%q
+	next := (last-start)*cellsPerSlot/q + 1
+	at = start + (next*q+cellsPerSlot-1)/cellsPerSlot
+	if b.OrderingRoom(at) > 0 {
+		return at, false
+	}
+	return start + q, true
+}
 
 // updateDescriptorSize is the encoded size of an update descriptor in a
 // decision's oal.
@@ -183,13 +251,12 @@ func ordinalsPerDecision(n int) int {
 
 // assignOrdinals orders the pending proposals whose per-proposer
 // sequence is contiguous with what is already ordered, oldest first and
-// at most ordinalsPerDecision of the team size, and returns the IDs of
-// gap proposals that block further ordering and must be retransmitted.
-func (b *Broadcast) assignOrdinals(now model.Time) []oal.ProposalID {
+// at most room of them (OrderingRoom), and returns the IDs of gap
+// proposals that block further ordering and must be retransmitted.
+func (b *Broadcast) assignOrdinals(now model.Time, room int) []oal.ProposalID {
 	// The candidates: of each proposer, the bodies this decision can reach
 	// by contiguity and its smallest pending one (the gap rules). A
 	// backlog deeper than that is not sorted again by every decision.
-	room := ordinalsPerDecision(b.params.N)
 	var pending []orderCandidate
 	for _, pr := range b.ids.procs {
 		if len(pr.pend) == 0 || b.senderSuppressed(pr.proposer, now) {

@@ -3,6 +3,7 @@ package member
 import (
 	"testing"
 
+	"timewheel/internal/broadcast"
 	"timewheel/internal/model"
 	"timewheel/internal/oal"
 	"timewheel/internal/wire"
@@ -30,8 +31,55 @@ func (r *rig) decisionsSent() int {
 	return n
 }
 
-// slot is the early-decision grid of the rig's parameters.
-func (r *rig) slot() model.Duration { return r.p.D / earlySlotsPerD }
+// slot is the length of an ordering slot under the rig's parameters, D/32.
+func (r *rig) slot() model.Duration { return r.p.D / 32 }
+
+// cellAfter is the first edge of broadcast's ordering grid after ts: each
+// D/32 slot split into four cells, as evenly as whole microseconds allow.
+func (r *rig) cellAfter(ts model.Time) model.Time {
+	q := model.Time(r.slot())
+	start := ts - ts%q
+	next := (ts-start)*4/q + 1
+	return start + (next*q+3)/4
+}
+
+// slotAfter is the first ordering-slot edge after ts.
+func (r *rig) slotAfter(ts model.Time) model.Time {
+	q := model.Time(r.slot())
+	return ts - ts%q + q
+}
+
+var totalWeak = oal.Semantics{Order: oal.TotalOrder, Atomicity: oal.WeakAtomicity}
+
+// handOrdering hands p2 the role with a decision from p1, stamped now,
+// that orders k weak updates of p3 whose bodies p2 already holds; p2
+// must have joined with p1 next in the ring.
+func (r *rig) handOrdering(k int) *wire.Decision {
+	var props []*wire.Proposal
+	for i := 1; i <= k; i++ {
+		p := r.proposalFrom(3, uint64(i))
+		p.Sem = totalWeak
+		r.m.OnMessage(p)
+		props = append(props, p)
+	}
+	dec := r.decisionFrom(1, r.m.Group())
+	var acks oal.AckSet
+	acks.Add(1)
+	for _, p := range props {
+		dec.OAL.AppendUpdate(p.ID, p.Sem, p.SendTS, 0, acks)
+	}
+	r.m.OnMessage(dec)
+	if !r.m.IsDecider() {
+		r.t.Fatalf("setup: p2 did not take the role")
+	}
+	return dec
+}
+
+// orderedBy returns how many ordinals the decision last sent assigned,
+// against the view's next ordinal before it.
+func (r *rig) orderedBy(next oal.Ordinal) int {
+	return int(r.env.lastSent().(*wire.Decision).OAL.Next - next)
+}
 
 // fireDecide advances the clock to the armed decide timer and fires it.
 func (r *rig) fireDecide() {
@@ -45,9 +93,10 @@ func (r *rig) fireDecide() {
 }
 
 // A decider with nothing to order holds the role for D/2, exactly as
-// before; with a proposal waiting it decides in the next early-decision
-// slot: in the handler that gave it the role when the slot after the
-// handing decision has begun, on the timer otherwise.
+// before; with a proposal waiting it decides at the first cell edge of
+// the ordering grid after the latest ordering decision: in the handler
+// that gave it the role when that edge has passed, on the timer
+// otherwise.
 func TestDeciderHoldsIdleAndDecidesWithWorkWaiting(t *testing.T) {
 	idle := newRig(t, 2)
 	idle.join(1) // p1's decision hands p2 the role
@@ -61,32 +110,32 @@ func TestDeciderHoldsIdleAndDecidesWithWorkWaiting(t *testing.T) {
 		t.Fatalf("idle decider counted %d early decisions", got)
 	}
 
-	for _, inSlot := range []bool{true, false} {
+	for _, inCell := range []bool{true, false} {
 		busy := newRig(t, 2)
 		busy.join(0) // p1 is next; p2 watches
+		ordering := busy.bc.LastOrderingTS()
 		busy.m.OnMessage(busy.proposalFrom(3, 1))
 		if busy.decisionsSent() != 0 {
 			t.Fatalf("a non-decider decided on a proposal")
 		}
 		busy.env.now += 100
 		dec := busy.decisionFrom(1, busy.m.Group())
-		if inSlot {
-			// The handing decision reaches us one slot after it was sent.
-			busy.env.now = busy.env.now.Add(busy.slot())
+		if !inCell {
+			// The handing decision reaches us one cell after it was sent.
+			busy.env.now = busy.env.now.Add(busy.slot() / 4)
 		}
 		busy.m.OnMessage(dec)
-		if !inSlot {
+		if inCell {
 			if busy.decisionsSent() != 0 || !busy.m.IsDecider() {
-				t.Fatalf("decided in the slot of the handing decision")
+				t.Fatalf("decided in the cell of the latest ordering decision")
 			}
-			q := model.Time(busy.slot())
-			if at := busy.env.timers[TimerDecide]; at != dec.SendTS-dec.SendTS%q+q {
-				t.Fatalf("decide timer at %d, want the slot edge after %d", at, dec.SendTS)
+			if at := busy.env.timers[TimerDecide]; at != busy.cellAfter(ordering) || at >= busy.slotAfter(ordering) {
+				t.Fatalf("decide timer at %d, want the cell edge %d after %d", at, busy.cellAfter(ordering), ordering)
 			}
 			busy.fireDecide()
 		}
 		if busy.decisionsSent() != 1 || busy.m.IsDecider() {
-			t.Fatalf("role with work waiting (inSlot=%v): decisions=%d isDecider=%v", inSlot, busy.decisionsSent(), busy.m.IsDecider())
+			t.Fatalf("role with work waiting (inCell=%v): decisions=%d isDecider=%v", inCell, busy.decisionsSent(), busy.m.IsDecider())
 		}
 		if _, armed := busy.env.timers[TimerDecide]; armed {
 			t.Fatalf("decide timer left armed after an early decision")
@@ -95,8 +144,150 @@ func TestDeciderHoldsIdleAndDecidesWithWorkWaiting(t *testing.T) {
 		if n := len(sent.OAL.Entries); n == 0 || sent.OAL.Entries[n-1].ID != (oal.ProposalID{Proposer: 3, Seq: 1}) {
 			t.Fatalf("early decision did not order the waiting proposal: %v", sent.OAL.Entries)
 		}
-		if st := busy.m.Stats(); st.DecisionsEarly != 1 || st.DecisionsSent != 1 {
+		if st := busy.m.Stats(); st.DecisionsEarly != 1 || st.DecisionsSent != 1 || st.DecisionsSlotFull != 0 {
 			t.Fatalf("stats: %+v", st)
+		}
+	}
+}
+
+// Once the decisions stamped in a slot have ordered its budget, the next
+// ordering decision waits for the next slot edge, and is counted as held
+// there; it then orders with the fresh slot's budget.
+func TestSpentSlotHoldsOrderingToTheSlotEdge(t *testing.T) {
+	r := newRig(t, 2)
+	r.join(0)
+	r.env.now = r.slotAfter(r.env.now) + 100 // a slot of its own
+	dec := r.handOrdering(broadcast.MaxOrdinalsPerDecision)
+	r.m.OnMessage(r.proposalFrom(4, 1))
+	if r.decisionsSent() != 0 {
+		t.Fatalf("ordered in a spent slot")
+	}
+	if at := r.env.timers[TimerDecide]; at != r.slotAfter(dec.SendTS) {
+		t.Fatalf("decide timer at %d, want the slot edge %d", at, r.slotAfter(dec.SendTS))
+	}
+	r.fireDecide()
+	if got := r.orderedBy(dec.OAL.Next); r.decisionsSent() != 1 || got != 1 {
+		t.Fatalf("slot edge: decisions=%d ordered %d, want 1 and 1", r.decisionsSent(), got)
+	}
+	if st := r.m.Stats(); st.DecisionsEarly != 1 || st.DecisionsSlotFull != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// A decision in a partly spent slot orders what the slot has left, at
+// the next cell edge; the rest of its batch then waits for the slot edge.
+func TestPartialBatchGoesAtTheNextCellEdge(t *testing.T) {
+	r := newRig(t, 2)
+	r.join(0)
+	r.env.now = r.slotAfter(r.env.now) + 10
+	const used, waiting = 60, 10
+	dec := r.handOrdering(used)
+	for seq := uint64(1); seq <= waiting; seq++ {
+		r.m.OnMessage(r.proposalFrom(4, seq))
+	}
+	at := r.env.timers[TimerDecide]
+	if r.decisionsSent() != 0 || at != r.cellAfter(dec.SendTS) || at >= r.slotAfter(dec.SendTS) {
+		t.Fatalf("decisions=%d timer at %d, want the cell edge %d of the same slot", r.decisionsSent(), at, r.cellAfter(dec.SendTS))
+	}
+	r.fireDecide()
+	if got := r.orderedBy(dec.OAL.Next); got != broadcast.MaxOrdinalsPerDecision-used {
+		t.Fatalf("ordered %d, want the %d the slot had left", got, broadcast.MaxOrdinalsPerDecision-used)
+	}
+	if st := r.m.Stats(); st.DecisionsEarly != 1 || st.DecisionsSlotFull != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if next, full := r.bc.NextOrderingAt(); !full || next != r.slotAfter(dec.SendTS) || !r.bc.Orderable(r.env.now) {
+		t.Fatalf("rest of the batch due at %d (full=%v), want the slot edge %d", next, full, r.slotAfter(dec.SendTS))
+	}
+}
+
+// The idle hold is not an ordering decision: when it ends in a spent slot
+// the held decision still goes out — the ring keeps turning — and orders
+// nothing, leaving the waiting proposal to the slot edge.
+func TestHeldDecisionInASpentSlotOrdersNothing(t *testing.T) {
+	r := newRig(t, 2)
+	r.m.cfg.DeciderHold = r.slot() / 2 // ends two cells on, in the same slot
+	r.join(0)
+	r.env.now = r.slotAfter(r.env.now) + 10
+	dec := r.handOrdering(broadcast.MaxOrdinalsPerDecision)
+	r.m.OnMessage(r.proposalFrom(4, 1))
+	if at := r.env.timers[TimerDecide]; at != dec.SendTS.Add(r.slot()/2) || at >= r.slotAfter(dec.SendTS) {
+		t.Fatalf("decide timer at %d, want the hold's end %d", at, dec.SendTS.Add(r.slot()/2))
+	}
+	r.fireDecide()
+	if got := r.orderedBy(dec.OAL.Next); r.decisionsSent() != 1 || got != 0 {
+		t.Fatalf("held decision: decisions=%d ordered %d, want 1 and 0", r.decisionsSent(), got)
+	}
+	if st := r.m.Stats(); st.DecisionsEarly != 0 || st.DecisionsSlotFull != 0 {
+		t.Fatalf("held decision counted early: %+v", st)
+	}
+	if !r.bc.Orderable(r.env.now) {
+		t.Fatalf("the waiting proposal was dropped")
+	}
+}
+
+// Both grids stand still: an ordering decision sent late — here past the
+// next cell edge — moves none of the edges after it.
+func TestLateDecisionMovesNoLaterEdge(t *testing.T) {
+	r := newRig(t, 2)
+	r.join(0)
+	t0 := r.slotAfter(r.env.now)
+	r.env.now = t0 + 10
+	r.handOrdering(1)
+	r.m.OnMessage(r.proposalFrom(4, 1))
+	edge := r.cellAfter(t0 + 10)
+	if at := r.env.timers[TimerDecide]; at != edge {
+		t.Fatalf("decide timer at %d, want %d", at, edge)
+	}
+	late := edge.Add(r.slot() * 3 / 8) // past the next edge, inside the cell after it
+	delete(r.env.timers, TimerDecide)
+	r.env.now = late
+	r.m.OnTimer(TimerDecide)
+	if r.decisionsSent() != 1 || r.bc.LastOrderingTS() != late {
+		t.Fatalf("late decision: decisions=%d ordering at %d, want %d", r.decisionsSent(), r.bc.LastOrderingTS(), late)
+	}
+	// p1 hands the role back and a proposal arrives: it goes at the grid's
+	// next edge after the late decision, not a cell after it.
+	r.env.now = late + 5
+	r.m.OnMessage(r.decisionFrom(1, r.m.Group()))
+	r.m.OnMessage(r.proposalFrom(4, 2))
+	want := r.cellAfter(late)
+	if at := r.env.timers[TimerDecide]; at != want || want-late >= model.Time(r.slot()/4) {
+		t.Fatalf("decide timer at %d after a decision sent at %d, want the grid edge %d", at, late, want)
+	}
+}
+
+// An early ordering decision is never due while its slot has no room, so
+// the role cannot spin on a decision that orders nothing: wherever the
+// latest ordering decision fell in its slot and whatever it spent, at
+// every instant of the two slots after it a due ordering decision has
+// room, and one without room is due later, at the slot edge.
+func TestNoOrderingDecisionIsDueWithoutRoom(t *testing.T) {
+	for _, k := range []int{1, broadcast.MaxOrdinalsPerDecision - 1, broadcast.MaxOrdinalsPerDecision} {
+		for _, off := range []model.Time{0, 1, 155, 156, 157, 400, 623, 624} {
+			r := newRig(t, 2)
+			r.join(0)
+			r.env.now = r.slotAfter(r.env.now) + off
+			dec := r.handOrdering(k)
+			r.m.OnMessage(r.proposalFrom(4, 1))
+			if r.decisionsSent() != 0 {
+				t.Fatalf("k=%d off=%d: ordered in the cell of the handing decision", k, off)
+			}
+			for now := dec.SendTS; now < dec.SendTS.Add(2*r.slot()); now += 3 {
+				r.env.now = now
+				kind, at := r.m.earlyDecision()
+				if kind != earlyOrdering && kind != earlySlotFull {
+					t.Fatalf("k=%d off=%d now=%d: kind %d with an orderable proposal", k, off, now, kind)
+				}
+				room := r.bc.OrderingRoom(now)
+				if at <= now && room == 0 {
+					t.Fatalf("k=%d off=%d now=%d: ordering decision due at %d with no room", k, off, now, at)
+				}
+				edge := r.slotAfter(dec.SendTS)
+				if at <= dec.SendTS || (kind == earlySlotFull && (room != 0 || at != edge)) {
+					t.Fatalf("k=%d off=%d now=%d: kind %d due at %d, room %d, slot edge %d", k, off, now, kind, at, room, edge)
+				}
+			}
 		}
 	}
 }
@@ -126,14 +317,15 @@ func TestProposalArrivalEndsTheHold(t *testing.T) {
 		t.Fatalf("arrival did not end the hold: decisions=%d early=%d ordered=%d", r.decisionsSent(), r.m.Stats().DecisionsEarly, ordered()-base)
 	}
 
-	// Inside the slot of the handing decision the arrival only brings the
-	// timer forward, and a second arrival leaves it there.
+	// Inside the cell of the handing decision the arrival only brings the
+	// timer forward, to the next cell edge, and a second arrival leaves it
+	// there.
 	paced := newRig(t, 2)
 	paced.join(1)
 	paced.m.OnMessage(paced.proposalFrom(4, 1))
 	at := paced.env.timers[TimerDecide]
-	if paced.decisionsSent() != 0 || at >= paced.env.now.Add(paced.slot())+1 || at <= paced.env.now {
-		t.Fatalf("arrival inside the slot: decisions=%d timer=%d now=%d", paced.decisionsSent(), at, paced.env.now)
+	if paced.decisionsSent() != 0 || at != paced.cellAfter(paced.env.now) {
+		t.Fatalf("arrival inside the cell: decisions=%d timer=%d now=%d", paced.decisionsSent(), at, paced.env.now)
 	}
 	paced.env.now += 10
 	paced.m.OnMessage(paced.proposalFrom(4, 2))
@@ -142,7 +334,7 @@ func TestProposalArrivalEndsTheHold(t *testing.T) {
 	}
 	paced.fireDecide()
 	if paced.decisionsSent() != 1 || paced.m.Stats().DecisionsEarly != 1 || uint64(paced.bc.HighestOrdinal()) != base+2 {
-		t.Fatalf("slot edge: decisions=%d early=%d", paced.decisionsSent(), paced.m.Stats().DecisionsEarly)
+		t.Fatalf("cell edge: decisions=%d early=%d", paced.decisionsSent(), paced.m.Stats().DecisionsEarly)
 	}
 
 	// Own proposals: the proposal goes out first, then the decision. (A

@@ -140,8 +140,8 @@ type Hooks struct {
 type Config struct {
 	// DeciderHold is how long a process with nothing to order and no
 	// awaited ack holds the decider role before sending its decision (the
-	// idle cadence; otherwise it decides in the next early-decision slot,
-	// see decideIfOrderable). Must be well under D; defaults to D/2.
+	// idle cadence; otherwise it decides early, see decideIfOrderable).
+	// Must be well under D; defaults to D/2.
 	DeciderHold model.Duration
 	// DisableFastPath skips the single-failure no-decision election and
 	// escalates every timeout straight to the time-slotted
@@ -297,6 +297,7 @@ type Stats struct {
 	DecisionsEarly    uint64 // of DecisionsSent: sent early, to order a proposal, publish an awaited ack or release a time-ordered update
 	DecisionsAckOnly  uint64 // of DecisionsEarly: sent early only to publish an awaited ack
 	DecisionsRelease  uint64 // of DecisionsEarly: sent at a time-ordered update's settle point, to release it
+	DecisionsSlotFull uint64 // of DecisionsEarly: ordering decisions held to the next slot edge because the slot's ordinal budget was spent
 	Admissions        uint64
 	SelfExclusions    uint64 // guard-triggered drops to the join state
 	OALReqsSent       uint64 // full-oal baseline requests sent

@@ -810,19 +810,6 @@ func (m *Machine) armDecide(at model.Time, kind int) {
 	m.env.SetTimer(TimerDecide, at)
 }
 
-// earlySlotsPerD divides D into the slots ordering decisions are sent in.
-const earlySlotsPerD = 32
-
-// slotAfter is the first early-decision slot after the decision sent at
-// last: the next multiple of D/earlySlotsPerD on the synchronized clock.
-// Slots sit on a grid rather than a fixed distance after the previous
-// decision so that the lateness of one decision's timer does not push
-// back every decision after it.
-func (m *Machine) slotAfter(last model.Time) model.Time {
-	q := model.Time(max(m.params.D/earlySlotsPerD, 1))
-	return last - last%q + q
-}
-
 // decideIfOrderable is the work-conserving half of the decider duty: the
 // paper bounds the interval before a decider sends its decision by D
 // from above only, so a decider whose decision would do work a delivery
@@ -831,11 +818,15 @@ func (m *Machine) slotAfter(last model.Time) model.Time {
 // would
 //
 //   - assign at least one ordinal (broadcast.Orderable): an ordering
-//     decision, in the next early-decision slot after the latest
-//     decision that assigned an ordinal, so at most one goes out per
-//     slot (earlySlotsPerD per D, each ordering a bounded batch — see
-//     broadcast.MaxOrdinalsPerDecision) and what a group orders per
-//     second is set by D and not by how fast its hosts happen to run;
+//     decision, at the first D/128 cell edge after the latest decision
+//     that assigned an ordinal, or at the next D/32 slot edge once the
+//     decisions of that slot have ordered its budget
+//     (broadcast.NextOrderingAt). Below the ceiling a proposal is so
+//     ordered within a cell of arriving, and at most one ordering
+//     decision goes out per cell; at the ceiling one goes out per slot
+//     with the whole budget (broadcast.MaxOrdinalsPerDecision), and what
+//     a group orders per second is set by D and not by how fast its
+//     hosts happen to run;
 //   - otherwise, publish an acknowledgement a Strong or Strict delivery
 //     still waits on (broadcast.AckAwaited): an ack-only decision, at
 //     once. Acknowledgements travel only in decisions, so without it such
@@ -850,9 +841,10 @@ func (m *Machine) slotAfter(last model.Time) model.Time {
 // idle group holds none — and in every other state, the hold and all
 // failure-detector deadlines stay as they are. All three tests are
 // exact, so the role cannot spin through an idle group: an ordering
-// decision assigns an ordinal, an ack-only one publishes an own ack, of
-// which there are finitely many, and a release decision moves the
-// latest decision past the settle point it was sent for.
+// decision assigns an ordinal (it is never due while its slot has no
+// room left), an ack-only one publishes an own ack, of which there are
+// finitely many, and a release decision moves the latest decision past
+// the settle point it was sent for.
 func (m *Machine) decideIfOrderable() {
 	if !m.isDecider {
 		return
@@ -877,6 +869,9 @@ func (m *Machine) sendRotationDecision(kind int) {
 	switch kind {
 	case earlyOrdering:
 		m.stats.DecisionsEarly++
+	case earlySlotFull:
+		m.stats.DecisionsEarly++
+		m.stats.DecisionsSlotFull++
 	case earlyAckOnly:
 		m.stats.DecisionsEarly++
 		m.stats.DecisionsAckOnly++
@@ -889,10 +884,13 @@ func (m *Machine) sendRotationDecision(kind int) {
 
 // Kinds of decision a decider sends early, in the order earlyDecision
 // tests them: an ordering decision publishes its own acks too, and any
-// decision releases what its timestamp has passed.
+// decision releases what its timestamp has passed. earlySlotFull is an
+// ordering decision held to the next slot edge because the slot's budget
+// was spent.
 const (
 	earlyNone = iota
 	earlyOrdering
+	earlySlotFull
 	earlyAckOnly
 	earlyRelease
 )
@@ -906,7 +904,11 @@ func (m *Machine) earlyDecision() (kind int, at model.Time) {
 	now := m.env.Now()
 	switch {
 	case m.bc.Orderable(now):
-		return earlyOrdering, m.slotAfter(m.bc.LastOrderingTS())
+		at, full := m.bc.NextOrderingAt()
+		if full && at > now {
+			return earlySlotFull, at
+		}
+		return earlyOrdering, at
 	case m.bc.AckAwaited():
 		return earlyAckOnly, now
 	}

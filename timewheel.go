@@ -167,8 +167,8 @@ type Config struct {
 	ID int
 	// ClusterSize is the total team size N, at most 64 (an
 	// acknowledgement set is one bit per member). Teams of more than six
-	// order fewer proposals per decision, so that a decision still fits
-	// one datagram (broadcast.ordinalsPerDecision).
+	// order fewer proposals per decision and per D/32 slot, so that a
+	// decision still fits one datagram (broadcast.ordinalsPerDecision).
 	ClusterSize int
 	// Transport connects this node to its peers.
 	Transport Transport
@@ -1141,6 +1141,7 @@ type Metrics struct {
 	JoinsSent         uint64
 	DecisionsSent     uint64
 	DecisionsEarly    uint64 // of DecisionsSent: sent without the idle hold, to order a proposal, publish an ack a Strong/Strict delivery awaits, or release a time-ordered update at its settle point
+	DecisionsSlotFull uint64 // of DecisionsEarly: ordering decisions held to the next D/32 slot edge because the slot's ordinal budget was spent — the group ordering at its ceiling
 	Admissions        uint64
 	SelfExclusions    uint64
 	// Broadcast-layer counters.
@@ -1171,6 +1172,7 @@ func (n *Node) Metrics() Metrics {
 			JoinsSent:         ms.JoinsSent,
 			DecisionsSent:     ms.DecisionsSent,
 			DecisionsEarly:    ms.DecisionsEarly,
+			DecisionsSlotFull: ms.DecisionsSlotFull,
 			Admissions:        ms.Admissions,
 			SelfExclusions:    ms.SelfExclusions,
 			Proposed:          bs.Proposed,
